@@ -6,14 +6,12 @@ baseline with Metropolis mixing, and a reproducible experiment harness.
 """
 
 from .algo import (ALBGState, ALGState, Counters, PenaltySchedule,
-                   SlotPenalties, consensus_spread, constraint_violations,
-                   default_inner_events, dual_update_alg, dual_update_bg,
-                   expected_events_bound, inner_step_alg, inner_step_mg,
-                   lagrangian_alg, lagrangian_bg, lagrangian_eval,
-                   make_state, penalty_at, run_inner, run_outer, step_bg,
-                   update_adaptive)
-from .baseline import (PSState, alpha_sweep, metropolis_weights,
-                       realize_symmetric, run_ps, ps_step)
+                   constraint_violations, default_inner_events,
+                   dual_update_alg, dual_update_bg, inner_step_alg,
+                   inner_step_mg, lagrangian_eval, make_state, penalty_at,
+                   run_inner, run_outer, step_bg, update_adaptive)
+from .baseline import (PSState, metropolis_weights, realize_symmetric,
+                       run_ps, ps_step)
 from .errors import (AlgossipError, ConfigError, ConnectivityFailure,
                      DomainError, KindError, MismatchError, NonConvergence,
                      NumericError)
@@ -21,12 +19,12 @@ from .events import (ClockModel, Event, EventDistribution, EventKind,
                      Variant, event_distribution, sample_event,
                      sample_mg_event)
 from .graph import (FailureModel, Supergraph, build_geometric, failure_prob,
-                    load_network, sample_adjacency, save_network)
-from .metrics import MetricsLog, MetricsRow, detect_plateau
+                    load_network, save_network)
+from .metrics import MetricsLog, MetricsRow
 from .problem import (LogRegInstance, ProblemInstance, QuadConsensusInstance,
-                      centralized_oracle, err_f, eval_global, gen_logreg,
-                      instance_text, load_instance, save_instance)
+                      centralized_oracle, err_f, gen_logreg, instance_text,
+                      load_instance, save_instance)
 from .subsolve import (XSubproblem, solve_bg_block, solve_x_block,
-                       y_closed_form, y_closed_form_peredge)
+                       y_closed_form_peredge)
 
 __version__ = "0.1.0"

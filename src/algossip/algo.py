@@ -7,7 +7,8 @@ times the observed constraint violation. The pairwise variant keeps a link
 variable per directed arc plus two dual vectors per arc; the multi-neighbor
 variant shares that state but broadcasts all link variables of a node at
 once; the broadcast variant (reliable links only) keeps a single aggregated
-dual per node.
+dual per node. Per-arc state lives in ``(num_arcs, m)`` arrays indexed by
+the arc ids of :class:`~algossip.graph.Supergraph`.
 """
 
 from __future__ import annotations
@@ -19,24 +20,11 @@ import numpy as np
 from .errors import ConfigError, DomainError, KindError, NumericError
 from .events import (ClockModel, Event, EventDistribution, EventKind, Variant,
                      event_distribution, sample_event, sample_mg_event)
-from .graph import Arc, FailureModel, Supergraph
+from .graph import FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
 from .problem import ProblemInstance, err_f
 from .subsolve import XSubproblem, solve_bg_block, solve_x_block, \
     y_closed_form_peredge
-
-
-def _sign(owner: int, partner: int) -> int:
-    """Orientation sign of a link term, from the total order on node ids:
-    + for the smaller id (any fixed assignment of signs per edge works)."""
-    return 1 if partner > owner else -1
-
-
-def consensus_spread(x: np.ndarray) -> float:
-    """Largest node distance to the across-node mean."""
-    x = np.atleast_2d(x)
-    center = x.mean(axis=0)
-    return float(np.max(np.linalg.norm(x - center, axis=1)))
 
 
 def default_inner_events(graph: Supergraph) -> int:
@@ -115,51 +103,29 @@ def penalty_at(schedule: PenaltySchedule, t: int) -> float:
     raise KindError(f"unknown schedule kind {schedule.kind!r}")
 
 
-def update_adaptive(rho_prev: float, eps_prev: float | None, eps_cur: float,
-                    kappa: float, sigma: float) -> float:
-    """One per-dual penalty adjustment.
+def update_adaptive(rho_prev, eps_prev, eps_cur, kappa: float,
+                    sigma: float) -> np.ndarray:
+    """Per-dual penalty adjustment, elementwise over arrays of penalties
+    and their violations.
 
-    Keeps the penalty when the violation decreased enough
-    (``eps_cur <= kappa * eps_prev``); multiplies it by ``sigma`` otherwise.
-    The first outer step (no previous violation) keeps the penalty.
+    Keeps a penalty where its violation decreased enough
+    (``eps_cur <= kappa * eps_prev``) and multiplies it by ``sigma``
+    elsewhere. The first outer step (no previous violations) keeps every
+    penalty.
     """
     if not (0 < kappa < 1):
         raise DomainError(f"kappa must lie in (0, 1), got {kappa}")
     if sigma <= 1:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
-    if rho_prev <= 0:
-        raise DomainError(f"rho_prev must be positive, got {rho_prev}")
+    rho_prev = np.asarray(rho_prev, dtype=float)
+    if np.any(rho_prev <= 0):
+        raise DomainError(f"penalties must be positive, got {rho_prev}")
     if eps_prev is None:
         return rho_prev
-    if eps_prev < 0:
+    eps_prev = np.asarray(eps_prev, dtype=float)
+    if np.any(eps_prev < 0):
         raise DomainError("violations must be nonnegative")
-    if eps_cur <= kappa * eps_prev:
-        return rho_prev
-    return sigma * rho_prev
-
-
-class SlotPenalties:
-    """Penalty values in force during one outer slot, one per dual
-    variable. ``uniform`` is set when every value coincides."""
-
-    __slots__ = ("mu_map", "lam_map", "uniform")
-
-    def __init__(self, mu_map: dict[Arc, float], lam_map: dict[Arc, float],
-                 uniform: float | None = None):
-        self.mu_map = mu_map
-        self.lam_map = lam_map
-        self.uniform = uniform
-
-    @classmethod
-    def constant(cls, graph: Supergraph, rho: float) -> "SlotPenalties":
-        return cls({a: rho for a in graph.arcs},
-                   {a: rho for a in graph.arcs}, uniform=rho)
-
-    def mu_of(self, arc: Arc) -> float:
-        return self.mu_map[arc]
-
-    def lam_of(self, arc: Arc) -> float:
-        return self.lam_map[arc]
+    return np.where(eps_cur <= kappa * eps_prev, rho_prev, sigma * rho_prev)
 
 
 # --------------------------------------------------------------------------
@@ -167,13 +133,18 @@ class SlotPenalties:
 # --------------------------------------------------------------------------
 
 class ALGState:
-    """State of the pairwise / multi-neighbor gossip variants.
+    """State of the pairwise / multi-neighbor gossip variants, in the
+    arc-id layout of ``graph``.
 
-    Node ``i`` owns its estimate ``x[i]``, the link variables ``y[(i, j)]``
-    and duals ``mu[(i, j)]``, ``lam[(i, j)]`` for each neighbor ``j``, and a
-    copy ``y_recv[(j, i)]`` of the last value of ``y_(j,i)`` it received.
-    ``stale[(i, j)]`` accumulates how far ``y[(i, j)]`` has drifted from the
-    copy its receiver holds. All duals start at zero.
+    Node ``i`` owns its estimate ``x[i]`` and, for each outgoing arc
+    ``a = graph.arc_id[(i, j)]``, the link variable ``y[a]`` and the duals
+    ``mu[a]``, ``lam[a]``; the receiver ``j`` holds ``y_recv[a]``, its copy
+    of the last value of ``y[a]`` it received. ``stale[a]`` accumulates how
+    far ``y[a]`` has drifted from that copy. All duals start at zero.
+
+    Penalties come as a ``(2, num_arcs)`` array: row 0 holds each arc's
+    tie-constraint (``mu``) penalty, row 1 its link-constraint (``lam``)
+    penalty.
     """
 
     def __init__(self, problem: ProblemInstance, graph: Supergraph):
@@ -182,48 +153,62 @@ class ALGState:
         m = problem.dim
         self.x = np.stack([problem.node_project(i, np.zeros(m))
                            for i in range(graph.n)])
-        self.y: dict[Arc, np.ndarray] = {
-            (i, j): self.x[i].copy() for (i, j) in graph.arcs}
+        self.y = self.x[graph.arc_src]
         # Before any communication the receiver assumes the sender agrees
         # with its own initial value.
-        self.y_recv: dict[Arc, np.ndarray] = {
-            (i, j): self.x[j].copy() for (i, j) in graph.arcs}
-        zero = lambda: np.zeros(m)
-        self.mu: dict[Arc, np.ndarray] = {a: zero() for a in graph.arcs}
-        self.lam: dict[Arc, np.ndarray] = {a: zero() for a in graph.arcs}
-        self.stale: dict[Arc, float] = {
-            a: float(np.linalg.norm(self.y[a] - self.y_recv[a]))
-            for a in graph.arcs}
+        self.y_recv = self.x[graph.arc_dst]
+        self.mu = np.zeros((graph.num_arcs, m))
+        self.lam = np.zeros((graph.num_arcs, m))
+        self.stale = [float(np.linalg.norm(d)) for d in self.y - self.y_recv]
         self.t = 0
-        self.last_move: dict = {}
         self.reset_movement()
-        self.x_final = None
-        self.y_final = None
-        self.y_recv_final = None
+        self.final = None
 
     def reset_movement(self) -> None:
-        self.last_move = {("x", i): np.inf for i in range(self.graph.n)}
-        self.last_move.update({("y", a): np.inf for a in self.graph.arcs})
+        self.x_move = [np.inf] * self.graph.n
+        self.y_move = [np.inf] * self.graph.num_arcs
+
+    def converged(self, tol: float) -> bool:
+        """Every block moved less than ``tol`` when last re-minimized and
+        no link value has drifted from its receiver's copy by ``tol``."""
+        return (max(self.x_move) < tol
+                and max(self.y_move, default=0.0) < tol
+                and max(self.stale, default=0.0) < tol)
 
     def snapshot_finals(self) -> None:
-        self.x_final = self.x.copy()
-        self.y_final = {a: v.copy() for a, v in self.y.items()}
-        self.y_recv_final = {a: v.copy() for a, v in self.y_recv.items()}
+        self.final = (self.x.copy(), self.y.copy(), self.y_recv.copy())
 
     def max_dual_gap(self) -> float:
         """Largest disagreement between the two copies of a link dual."""
-        gap = 0.0
-        for i, j in self.graph.edges:
-            gap = max(gap, float(np.linalg.norm(self.lam[(i, j)]
-                                                - self.lam[(j, i)])))
-        return gap
+        # Row by row, as in constraint_violations.
+        fwd = self.graph.edge_fwd
+        gaps = self.lam[fwd] - self.lam[self.graph.arc_rev[fwd]]
+        return max([0.0] + [float(np.linalg.norm(g)) for g in gaps])
+
+    def lagrangian(self, pen) -> float:
+        """Augmented Lagrangian of the cloned formulation (node, link, and
+        tie terms; the orientation sign assigns + to the smaller node id),
+        accumulated arc by arc: a vectorized sum rounds differently."""
+        g, x, y, mu, lam = self.graph, self.x, self.y, self.mu, self.lam
+        rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
+        total = sum(self.problem.node_value(i, x[i]) for i in range(g.n))
+        for a, i in enumerate(g.arc_src.tolist()):
+            diff = x[i] - y[a]
+            total += float(mu[a] @ diff)
+            total += 0.5 * rho_mu[a] * float(diff @ diff)
+        fwd = g.edge_fwd
+        for a, b in zip(fwd.tolist(), g.arc_rev[fwd].tolist()):
+            total += float(lam[a] @ y[a]) - float(lam[b] @ y[b])
+            gap = y[a] - y[b]
+            total += 0.5 * rho_lam[a] * float(gap @ gap)
+        return float(total)
 
 
 class ALBGState:
     """State of the broadcast variant: per-node estimate, per-node
     aggregated dual, and each node's copy of its neighbors' last broadcast.
     The aggregated duals start at zero and always sum to zero across nodes
-    (every multiplier increment telescopes)."""
+    (every multiplier increment telescopes). The penalty is one float."""
 
     def __init__(self, problem: ProblemInstance, graph: Supergraph):
         self.problem = problem
@@ -235,13 +220,15 @@ class ALBGState:
         self.x_bcast = self.x.copy()
         self.lam_bar = np.zeros((graph.n, m))
         self.t = 0
-        self.last_move: dict = {}
         self.reset_movement()
-        self.x_final = None
-        self.xbar_final = None
+        self.final = None
 
     def reset_movement(self) -> None:
-        self.last_move = {("x", i): np.inf for i in range(self.graph.n)}
+        self.x_move = [np.inf] * self.graph.n
+
+    def converged(self, tol: float) -> bool:
+        """Every node moved less than ``tol`` when last re-minimized."""
+        return max(self.x_move) < tol
 
     def neighbor_sum(self, i: int) -> np.ndarray:
         out = np.zeros(self.problem.dim)
@@ -252,12 +239,29 @@ class ALBGState:
     def snapshot_finals(self) -> None:
         # Broadcasts are reliable, so the final local values and the final
         # received copies coincide.
-        self.x_final = self.x.copy()
-        self.xbar_final = np.stack([self.neighbor_sum(i)
-                                    for i in range(self.graph.n)])
+        self.final = (self.x.copy(),
+                      np.stack([self.neighbor_sum(i)
+                                for i in range(self.graph.n)]))
 
     def dual_sum(self) -> np.ndarray:
         return self.lam_bar.sum(axis=0)
+
+    def max_dual_gap(self) -> float:
+        """Not defined: the aggregated duals have no per-link copies."""
+        return float("nan")
+
+    def lagrangian(self, rho: float) -> float:
+        """Augmented Lagrangian of the direct consensus formulation; the
+        edge dual terms aggregate exactly into one inner product per
+        node."""
+        x, rho = self.x, float(rho)
+        total = sum(self.problem.node_value(i, x[i])
+                    for i in range(self.graph.n))
+        total += float((self.lam_bar * x).sum())
+        for (i, j) in self.graph.edges:
+            diff = x[i] - x[j]
+            total += 0.5 * rho * float(diff @ diff)
+        return float(total)
 
 
 @dataclass
@@ -273,48 +277,45 @@ class Counters:
 # Inner (fast-scale) steps
 # --------------------------------------------------------------------------
 
-def _update_x_block(state: ALGState, i: int, pen: SlotPenalties,
-                    inner_budget: int, inner_tol: float | None,
-                    counters: Counters) -> float:
+def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
+                    inner_tol: float | None, counters: Counters) -> float:
     linear = np.zeros(state.problem.dim)
     quad = 0.0
-    for j in state.graph.neighbors[i]:
-        arc = (i, j)
-        rho_mu = pen.mu_of(arc)
-        linear += state.mu[arc] - rho_mu * state.y[arc]
-        quad += rho_mu
+    arcs = state.graph.out_slice[i]
+    for a in range(arcs.start, arcs.stop):
+        linear += state.mu[a] - rho_mu[a] * state.y[a]
+        quad += rho_mu[a]
     sub = XSubproblem(state.problem, i, linear, quad)
     new = solve_x_block(sub, inner_budget, inner_tol, warm_start=state.x[i],
                         counters=counters)
     moved = float(np.linalg.norm(new - state.x[i]))
     state.x[i] = new
-    state.last_move[("x", i)] = moved
+    state.x_move[i] = moved
     return moved
 
 
-def _deliver_and_update(state: ALGState, sender: int, receiver: int,
-                        pen: SlotPenalties, counters: Counters) -> float:
-    """Receiver stores the incoming link value and re-minimizes its own
-    link block toward the sender."""
-    inbound = (sender, receiver)
-    outbound = (receiver, sender)
-    state.y_recv[inbound] = state.y[inbound].copy()
+def _deliver_and_update(state: ALGState, inbound: int, rho_mu, rho_lam,
+                        counters: Counters) -> float:
+    """The receiver of arc ``inbound`` stores the incoming link value and
+    re-minimizes its own link block toward the sender."""
+    g = state.graph
+    out = g.arc_rev[inbound]
+    state.y_recv[inbound] = state.y[inbound]
     state.stale[inbound] = 0.0
     new = y_closed_form_peredge(
-        state.x[receiver], state.y_recv[inbound],
-        state.mu[outbound], state.lam[outbound],
-        pen.lam_of(outbound), pen.mu_of(outbound),
-        _sign(receiver, sender),
+        state.x[g.arc_src[out]], state.y_recv[inbound],
+        state.mu[out], state.lam[out], rho_lam[out], rho_mu[out],
+        g.arc_sign[out],
     )
-    moved = float(np.linalg.norm(new - state.y[outbound]))
-    state.stale[outbound] += moved
-    state.y[outbound] = new
-    state.last_move[("y", outbound)] = moved
+    moved = float(np.linalg.norm(new - state.y[out]))
+    state.stale[out] += moved
+    state.y[out] = new
+    state.y_move[out] = moved
     counters.flops += 8 * state.problem.dim
     return moved
 
 
-def inner_step_alg(state: ALGState, ev: Event, pen: SlotPenalties,
+def inner_step_alg(state: ALGState, ev: Event, pen,
                    inner_budget: int = 50, inner_tol: float | None = None,
                    counters: Counters | None = None) -> float:
     """Apply one pairwise-gossip event; returns the block movement.
@@ -322,23 +323,25 @@ def inner_step_alg(state: ALGState, ev: Event, pen: SlotPenalties,
     A node tick re-minimizes that node's estimate; a successful transfer
     delivers the sender's link value and re-minimizes the receiver's link
     block; a void slot (failed transfer) changes nothing. Successful and
-    failed transfers both count one transmission.
+    failed transfers both count one transmission. ``pen`` holds the
+    per-arc ``mu`` and ``lam`` penalties (see :class:`ALGState`).
     """
     counters = counters if counters is not None else Counters()
+    rho_mu, rho_lam = pen
     if ev.kind is EventKind.X_UPDATE:
-        return _update_x_block(state, ev.node, pen, inner_budget, inner_tol,
-                               counters)
+        return _update_x_block(state, ev.node, rho_mu, inner_budget,
+                               inner_tol, counters)
     if ev.kind is EventKind.Y_TRANSFER:
-        sender, receiver = ev.arc
         counters.transmissions += 1
-        return _deliver_and_update(state, sender, receiver, pen, counters)
+        return _deliver_and_update(state, state.graph.arc_id[ev.arc],
+                                   rho_mu, rho_lam, counters)
     if ev.kind is EventKind.VOID:
         counters.transmissions += 1
         return 0.0
     raise KindError(f"event {ev.kind} is not part of the pairwise variant")
 
 
-def inner_step_mg(state: ALGState, ev: Event, pen: SlotPenalties,
+def inner_step_mg(state: ALGState, ev: Event, pen,
                   inner_budget: int = 50, inner_tol: float | None = None,
                   counters: Counters | None = None) -> float:
     """Apply one multi-neighbor event.
@@ -349,18 +352,20 @@ def inner_step_mg(state: ALGState, ev: Event, pen: SlotPenalties,
     blocks are disjoint, so the joint update is an exact block minimization.
     """
     counters = counters if counters is not None else Counters()
+    rho_mu, rho_lam = pen
     if ev.kind is EventKind.X_UPDATE:
-        return _update_x_block(state, ev.node, pen, inner_budget, inner_tol,
-                               counters)
+        return _update_x_block(state, ev.node, rho_mu, inner_budget,
+                               inner_tol, counters)
     if ev.kind is EventKind.MG_BROADCAST:
         if ev.receivers is None:
             raise KindError("broadcast tick must be resolved into receivers "
                             "before stepping (see sample_mg_event)")
         counters.transmissions += int(state.graph.degrees[ev.node])
+        arc_id = state.graph.arc_id
         moved = 0.0
         for j in ev.receivers:
-            moved = max(moved,
-                        _deliver_and_update(state, ev.node, j, pen, counters))
+            moved = max(moved, _deliver_and_update(
+                state, arc_id[(ev.node, j)], rho_mu, rho_lam, counters))
         return moved
     if ev.kind is EventKind.VOID:
         counters.transmissions += int(state.graph.degrees[ev.node])
@@ -383,7 +388,7 @@ def step_bg(state: ALBGState, node: int, rho: float,
     moved = float(np.linalg.norm(new - state.x[node]))
     state.x[node] = new
     state.x_bcast[node] = new.copy()
-    state.last_move[("x", node)] = moved
+    state.x_move[node] = moved
     counters.transmissions += 1
     return moved
 
@@ -392,22 +397,24 @@ def step_bg(state: ALBGState, node: int, rho: float,
 # Dual (slow-scale) updates
 # --------------------------------------------------------------------------
 
-def constraint_violations(state: ALGState) -> tuple[dict[Arc, float],
-                                                    dict[Arc, float]]:
+def constraint_violations(state: ALGState) -> np.ndarray:
     """Per-arc violation norms at the last inner snapshot, as each node
-    observes them locally."""
-    if state.x_final is None:
+    observes them locally: row 0 holds the tie violations
+    ``||x_i - y_ij||``, row 1 the link violations ``||y_ij - y_recv_ji||``,
+    one column per arc id."""
+    if state.final is None:
         raise ValueError("run the inner loop before reading violations")
-    eps_mu, eps_lam = {}, {}
-    for (i, j) in state.graph.arcs:
-        eps_mu[(i, j)] = float(np.linalg.norm(
-            state.x_final[i] - state.y_final[(i, j)]))
-        eps_lam[(i, j)] = float(np.linalg.norm(
-            state.y_final[(i, j)] - state.y_recv_final[(j, i)]))
-    return eps_mu, eps_lam
+    x, y, y_recv = state.final
+    g = state.graph
+    # Row by row: a norm over an axis can differ in the last bit, and
+    # these values drive the adaptive penalties.
+    return np.array([
+        [float(np.linalg.norm(d)) for d in x[g.arc_src] - y],
+        [float(np.linalg.norm(d)) for d in y - y_recv[g.arc_rev]],
+    ])
 
 
-def dual_update_alg(state: ALGState, pen: SlotPenalties) -> None:
+def dual_update_alg(state: ALGState, pen) -> None:
     """Multiplier step from the inner snapshot.
 
     Each arc's link dual moves by the penalty times the locally observable
@@ -415,111 +422,64 @@ def dual_update_alg(state: ALGState, pen: SlotPenalties) -> None:
     partner's); each arc's tie dual moves by the penalty times the node-link
     gap. Advances the outer index.
     """
-    if state.x_final is None:
+    if state.final is None:
         raise ValueError("run the inner loop before the dual update")
-    for (i, j) in state.graph.arcs:
-        arc = (i, j)
-        state.lam[arc] = state.lam[arc] + pen.lam_of(arc) * _sign(i, j) * (
-            state.y_final[arc] - state.y_recv_final[(j, i)])
-        state.mu[arc] = state.mu[arc] + pen.mu_of(arc) * (
-            state.x_final[i] - state.y_final[arc])
+    x, y, y_recv = state.final
+    g = state.graph
+    rho_mu, rho_lam = np.asarray(pen, dtype=float)
+    state.lam += (rho_lam * g.arc_sign)[:, None] * (y - y_recv[g.arc_rev])
+    state.mu += rho_mu[:, None] * (x[g.arc_src] - y)
     state.t += 1
-    state.x_final = None
-    state.y_final = None
-    state.y_recv_final = None
+    state.final = None
 
 
 def dual_update_bg(state: ALBGState, rho: float) -> None:
     """Aggregated multiplier step: each node's dual moves by the penalty
     times (degree * own final value - final neighbor sum). The across-node
     dual sum stays zero because every pairwise difference telescopes."""
-    if state.x_final is None:
+    if state.final is None:
         raise ValueError("run the inner loop before the dual update")
-    for i in range(state.graph.n):
-        state.lam_bar[i] = state.lam_bar[i] + rho * (
-            state.graph.degrees[i] * state.x_final[i] - state.xbar_final[i])
+    x, x_bar = state.final
+    state.lam_bar += rho * (state.graph.degrees[:, None] * x - x_bar)
     state.t += 1
-    state.x_final = None
-    state.xbar_final = None
-
-
-# --------------------------------------------------------------------------
-# Lagrangians
-# --------------------------------------------------------------------------
-
-def lagrangian_alg(problem: ProblemInstance, graph: Supergraph,
-                   x: np.ndarray, y: dict[Arc, np.ndarray],
-                   mu: dict[Arc, np.ndarray], lam: dict[Arc, np.ndarray],
-                   pen: SlotPenalties) -> float:
-    """Augmented Lagrangian of the cloned formulation (node, link, and tie
-    terms; the orientation sign assigns + to the smaller node id)."""
-    total = sum(problem.node_value(i, x[i]) for i in range(graph.n))
-    for (i, j) in graph.arcs:
-        diff = x[i] - y[(i, j)]
-        total += float(mu[(i, j)] @ diff)
-        total += 0.5 * pen.mu_of((i, j)) * float(diff @ diff)
-    for (i, j) in graph.edges:  # i < j by canonicalization
-        total += float(lam[(i, j)] @ y[(i, j)]) - float(lam[(j, i)] @ y[(j, i)])
-        gap = y[(i, j)] - y[(j, i)]
-        total += 0.5 * pen.lam_of((i, j)) * float(gap @ gap)
-    return float(total)
-
-
-def lagrangian_bg(problem: ProblemInstance, graph: Supergraph, x: np.ndarray,
-                  lam_bar: np.ndarray, rho: float) -> float:
-    """Augmented Lagrangian of the direct consensus formulation; the edge
-    dual terms aggregate exactly into one inner product per node."""
-    total = sum(problem.node_value(i, x[i]) for i in range(graph.n))
-    total += float((lam_bar * x).sum())
-    for (i, j) in graph.edges:
-        diff = x[i] - x[j]
-        total += 0.5 * rho * float(diff @ diff)
-    return float(total)
+    state.final = None
 
 
 def lagrangian_eval(state, pen) -> float:
     """Evaluate the augmented Lagrangian of a state at the given penalties
-    (a :class:`SlotPenalties` for the gossip variants, a scalar for the
+    (a ``(2, num_arcs)`` array for the gossip variants, a float for the
     broadcast variant)."""
-    if isinstance(state, ALGState):
-        if not isinstance(pen, SlotPenalties):
-            pen = SlotPenalties.constant(state.graph, float(pen))
-        return lagrangian_alg(state.problem, state.graph, state.x, state.y,
-                              state.mu, state.lam, pen)
-    if isinstance(state, ALBGState):
-        if isinstance(pen, SlotPenalties):
-            if pen.uniform is None:
-                raise KindError("broadcast variant uses a single penalty")
-            pen = pen.uniform
-        return lagrangian_bg(state.problem, state.graph, state.x,
-                             state.lam_bar, float(pen))
-    raise KindError(f"cannot evaluate a Lagrangian for {type(state).__name__}")
-
-
-def expected_events_bound(l_initial: float, l_star: float,
-                          min_expected_decrease: float) -> float:
-    """Diagnostic upper bound on the expected number of inner events before
-    the Lagrangian enters a level set: initial gap over the worst-case
-    per-event expected decrease outside that set. Reported for inspection
-    only; the quantity in the denominator is not computable in general."""
-    if min_expected_decrease <= 0:
-        raise DomainError("expected decrease must be positive")
-    return max(0.0, l_initial - l_star) / min_expected_decrease
+    return state.lagrangian(pen)
 
 
 # --------------------------------------------------------------------------
 # Run loops
 # --------------------------------------------------------------------------
 
-def _is_converged(state, stop_tol: float | None) -> bool:
-    if stop_tol is None:
-        return False
-    if max(state.last_move.values()) >= stop_tol:
-        return False
-    if isinstance(state, ALGState) and state.stale:
-        if max(state.stale.values()) >= stop_tol:
-            return False
-    return True
+def _event_step(state, variant: Variant, graph: Supergraph,
+                failures: FailureModel, dist: EventDistribution, pen,
+                rng: np.random.Generator, counters: Counters,
+                inner_budget: int, inner_tol: float | None):
+    """The variant's per-event function: draw one slot outcome and apply
+    it to ``state`` at the slot's penalties."""
+    if variant is Variant.ALBG:
+        rho = float(pen)
+        return lambda: step_bg(state, sample_event(dist, rng).node, rho,
+                               inner_budget, inner_tol, counters)
+    # Python floats index and multiply faster than numpy scalars.
+    pen = np.asarray(pen, dtype=float).tolist()
+    if variant is Variant.ALG:
+        return lambda: inner_step_alg(state, sample_event(dist, rng), pen,
+                                      inner_budget, inner_tol, counters)
+    if variant is not Variant.ALMG:
+        raise ConfigError(f"unknown variant {variant}")
+
+    def step():
+        ev = sample_event(dist, rng)
+        if ev.kind is EventKind.MG_BROADCAST:
+            ev = sample_mg_event(ev.node, graph, failures, rng)
+        inner_step_mg(state, ev, pen, inner_budget, inner_tol, counters)
+    return step
 
 
 def run_inner(state, variant: Variant, graph: Supergraph,
@@ -538,27 +498,17 @@ def run_inner(state, variant: Variant, graph: Supergraph,
     receiver's copy by more than it. Records the final primal snapshot for
     the dual update and returns the number of events applied.
     """
+    step = _event_step(state, variant, graph, failures, dist, pen, rng,
+                       counters, inner_budget, inner_tol)
     state.reset_movement()
     applied = 0
     for _ in range(k_inner):
-        ev = sample_event(dist, rng)
-        if variant is Variant.ALMG and ev.kind is EventKind.MG_BROADCAST:
-            ev = sample_mg_event(ev.node, graph, failures, rng)
-        if variant is Variant.ALG:
-            inner_step_alg(state, ev, pen, inner_budget, inner_tol, counters)
-        elif variant is Variant.ALMG:
-            inner_step_mg(state, ev, pen, inner_budget, inner_tol, counters)
-        elif variant is Variant.ALBG:
-            step_bg(state, ev.node, pen.uniform if isinstance(
-                pen, SlotPenalties) else pen, inner_budget, inner_tol,
-                counters)
-        else:
-            raise ConfigError(f"unknown variant {variant}")
+        step()
         counters.k += 1
         applied += 1
         if on_event is not None:
             on_event()
-        if _is_converged(state, stop_tol):
+        if stop_tol is not None and state.converged(stop_tol):
             break
     state.snapshot_finals()
     return applied
@@ -569,19 +519,6 @@ def make_state(variant: Variant, problem: ProblemInstance,
     if variant is Variant.ALBG:
         return ALBGState(problem, graph)
     return ALGState(problem, graph)
-
-
-def _validate_run(variant: Variant, schedule: PenaltySchedule,
-                  failures: FailureModel) -> None:
-    if variant is Variant.ALBG and failures.mode != "always_on":
-        raise ConfigError("the broadcast variant requires reliable links "
-                          "(always_on failure model)")
-    if variant is Variant.ALMG and not failures.spatially_independent:
-        raise ConfigError("the multi-neighbor variant requires spatially "
-                          "independent link failures")
-    if variant is Variant.ALBG and schedule.kind == "adaptive":
-        raise ConfigError("per-dual adaptive penalties are not defined for "
-                          "the aggregated-dual broadcast variant")
 
 
 def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
@@ -604,7 +541,15 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     variant = Variant(variant)
     if failures is None:
         failures = FailureModel.always_on(graph)
-    _validate_run(variant, schedule, failures)
+    if variant is Variant.ALBG and failures.mode != "always_on":
+        raise ConfigError("the broadcast variant requires reliable links "
+                          "(always_on failure model)")
+    if variant is Variant.ALMG and not failures.spatially_independent:
+        raise ConfigError("the multi-neighbor variant requires spatially "
+                          "independent link failures")
+    if variant is Variant.ALBG and schedule.kind == "adaptive":
+        raise ConfigError("per-dual adaptive penalties are not defined for "
+                          "the aggregated-dual broadcast variant")
     if clocks is None:
         clocks = ClockModel(variant)
     if clocks.variant is not variant:
@@ -616,36 +561,35 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     dist = event_distribution(graph, failures, clocks)
     log = MetricsLog()
 
-    adaptive = schedule.kind == "adaptive"
-    if adaptive:
-        kappa, sigma, rho0 = schedule.params
-        rho_mu = {a: rho0 for a in graph.arcs}
-        rho_lam = {a: rho0 for a in graph.arcs}
-        eps_prev_mu: dict[Arc, float | None] = {a: None for a in graph.arcs}
-        eps_prev_lam: dict[Arc, float | None] = {a: None for a in graph.arcs}
-
     def penalties(t: int):
-        if adaptive:
-            return SlotPenalties(dict(rho_mu), dict(rho_lam))
-        return SlotPenalties.constant(graph, penalty_at(schedule, t))
+        rho = penalty_at(schedule, t)
+        if variant is Variant.ALBG:
+            return rho
+        return np.full((2, graph.num_arcs), rho)
 
     def checkpoint(pen) -> None:
         if not np.isfinite(state.x).all():
             raise NumericError(f"non-finite node estimate at k={counters.k}")
         err = float("nan") if fstar is None else err_f(problem, state.x, fstar)
-        gap = (state.max_dual_gap() if isinstance(state, ALGState)
-               else float("nan"))
         log.append(MetricsRow(
             t=state.t, k=counters.k, transmissions=counters.transmissions,
             flops=counters.flops, err_f=err,
-            L_value=lagrangian_eval(state, pen), max_dual_gap=gap,
+            L_value=lagrangian_eval(state, pen),
+            max_dual_gap=state.max_dual_gap(),
             feasible=problem.all_feasible(state.x, feas_tol),
         ))
 
-    pen = penalties(0)
+    adaptive = schedule.kind == "adaptive"
+    if adaptive:
+        kappa, sigma, rho0 = schedule.params
+        pen = np.full((2, graph.num_arcs), rho0)
+        eps_prev = None
+    else:
+        pen = penalties(0)
     checkpoint(pen)
     for t in range(t_outer):
-        pen = penalties(t)
+        if not adaptive:
+            pen = penalties(t)
 
         def on_event():
             if checkpoint_every and counters.k % checkpoint_every == 0:
@@ -654,17 +598,13 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
                   k_inner, inner_budget, inner_tol, inner_stop_tol, on_event)
         if variant is Variant.ALBG:
-            dual_update_bg(state, pen.uniform)
+            dual_update_bg(state, pen)
         else:
             if adaptive:
-                eps_mu, eps_lam = constraint_violations(state)
+                eps = constraint_violations(state)
             dual_update_alg(state, pen)
-            if adaptive:
-                for a in graph.arcs:
-                    rho_mu[a] = update_adaptive(rho_mu[a], eps_prev_mu[a],
-                                                eps_mu[a], kappa, sigma)
-                    rho_lam[a] = update_adaptive(rho_lam[a], eps_prev_lam[a],
-                                                 eps_lam[a], kappa, sigma)
-                eps_prev_mu, eps_prev_lam = dict(eps_mu), dict(eps_lam)
         checkpoint(pen)
+        if adaptive:
+            pen = update_adaptive(pen, eps_prev, eps, kappa, sigma)
+            eps_prev = eps
     return log, state

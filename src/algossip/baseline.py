@@ -127,19 +127,3 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
             checkpoint()
     return log, state
 
-
-def alpha_sweep(problem: ProblemInstance, graph: Supergraph,
-                failures: FailureModel | None, alphas, rounds: int,
-                seed: int, fstar: float) -> list[tuple[float, float]]:
-    """Limiting error of the baseline for each candidate step size.
-
-    Returns ``(alpha, best_err)`` pairs, where ``best_err`` is the running
-    best of the mean objective gap over the run; used to match the
-    baseline's error floor to a target plateau."""
-    out = []
-    for alpha in alphas:
-        log, _ = run_ps(problem, graph, failures, alpha, rounds, seed,
-                        fstar=fstar, checkpoint_every=max(1, rounds // 200))
-        errs = [r.err_f for r in log.rows]
-        out.append((float(alpha), float(np.nanmin(errs))))
-    return out

@@ -17,10 +17,14 @@ from .metrics import MetricsLog
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds must be a range 'a..b' or a comma list "
+                          f"of integers, got {spec!r}") from None
 
 
 def _cmd_run(args) -> int:

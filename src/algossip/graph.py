@@ -71,6 +71,22 @@ class Supergraph:
         self.arcs: tuple[Arc, ...] = tuple(
             sorted([(i, j) for i, j in self.edges] + [(j, i) for i, j in self.edges])
         )
+        # Arc-id layout: per-arc state lives in arrays indexed by position
+        # in ``arcs``. Sorting makes node i's outgoing arcs the contiguous
+        # run ``out_slice[i]``, ordered like ``neighbors[i]``.
+        self.arc_id: dict[Arc, int] = {a: k for k, a in enumerate(self.arcs)}
+        self.arc_src = np.array([i for i, _ in self.arcs], dtype=int)
+        self.arc_dst = np.array([j for _, j in self.arcs], dtype=int)
+        self.arc_rev = np.array([self.arc_id[(j, i)] for i, j in self.arcs],
+                                dtype=int)
+        # Orientation sign of each arc's consensus term: + when the owner
+        # has the smaller id (any fixed assignment of signs per edge works).
+        self.arc_sign = np.where(self.arc_src < self.arc_dst, 1, -1)
+        self.edge_fwd = np.array([self.arc_id[e] for e in self.edges],
+                                 dtype=int)
+        ends = np.cumsum(self.degrees)
+        self.out_slice: tuple[slice, ...] = tuple(
+            slice(int(e - d), int(e)) for e, d in zip(ends, self.degrees))
 
     @property
     def num_edges(self) -> int:
@@ -181,8 +197,6 @@ class FailureModel:
         self.graph = graph
         self.mode = mode
         self._probs = probs
-        self._arcs = graph.arcs
-        self._p_array = np.array([probs[a] for a in self._arcs])
 
     @classmethod
     def always_on(cls, graph: Supergraph) -> "FailureModel":
@@ -210,30 +224,21 @@ class FailureModel:
     def success_prob(self, arc: Arc) -> float:
         return self._probs[arc]
 
-    def sample(self, rng: np.random.Generator) -> dict[Arc, bool]:
-        """One slot of per-arc availability."""
-        if self.mode == "always_on":
-            return {arc: True for arc in self._arcs}
-        draws = rng.random(len(self._arcs)) < self._p_array
-        return dict(zip(self._arcs, draws.tolist()))
 
-
-def sample_adjacency(model: FailureModel,
-                     rng: np.random.Generator) -> dict[Arc, bool]:
-    """Sample one slot of arc availability from ``model``."""
-    return model.sample(rng)
-
-
-def save_network(path, graph: Supergraph, failures: FailureModel) -> None:
-    """Write graph + failure model as text: node count, then one line per
-    edge ``i j p_ij p_ji``."""
+def network_text(graph: Supergraph, failures: FailureModel) -> str:
+    """Graph + failure model as text: node count, then one line per edge
+    ``i j p_ij p_ji``."""
     lines = [f"{graph.n}"]
     for i, j in graph.edges:
         pij = failures.success_prob((i, j))
         pji = failures.success_prob((j, i))
         lines.append(f"{i} {j} {pij:.17g} {pji:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def save_network(path, graph: Supergraph, failures: FailureModel) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(network_text(graph, failures))
 
 
 def load_network(path) -> tuple[Supergraph, FailureModel]:

@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algo import (PenaltySchedule, Variant, default_inner_events, run_outer)
 from .baseline import run_ps
-from .errors import ConfigError, MismatchError
-from .graph import FailureModel, Supergraph, build_geometric, load_network
+from .errors import ConfigError, ConnectivityFailure, DomainError, \
+    MismatchError
+from .graph import (FailureModel, Supergraph, build_geometric, load_network,
+                    network_text)
 from .metrics import MetricsLog
 from .problem import (LogRegInstance, ProblemInstance, QuadConsensusInstance,
-                      err_f, gen_logreg, instance_text, load_instance)
+                      centralized_oracle, err_f, gen_logreg, instance_text,
+                      load_instance)
 
 KNOWN_KEYS = {
     "problem": {"kind", "file", "nodes", "dim", "targets", "seed", "spread",
@@ -154,21 +157,30 @@ def build_graph(cfg: RunConfig,
         return graph, failures
     radius = _as_float("graph", "radius", _require(cfg, "graph", "radius"))
     seed = _as_int("graph", "seed", _require(cfg, "graph", "seed"))
-    graph = build_geometric(problem.n_nodes, radius, seed)
+    graph = _checked("graph", build_geometric, problem.n_nodes, radius, seed)
     mode = cfg.get("graph", "failures", "always_on")
     if mode == "always_on":
         failures = FailureModel.always_on(graph)
     elif mode == "distance":
         scale = _as_float("graph", "failure_scale",
                           cfg.get("graph", "failure_scale", "0.5"))
-        failures = FailureModel.from_distance(graph, radius, scale)
+        failures = _checked("graph", FailureModel.from_distance, graph,
+                            radius, scale)
     elif mode == "uniform":
         p = _as_float("graph", "failure_p",
                       _require(cfg, "graph", "failure_p"))
-        failures = FailureModel.uniform(graph, p)
+        failures = _checked("graph", FailureModel.uniform, graph, p)
     else:
         raise ConfigError(f"unknown failure mode {mode!r}")
     return graph, failures
+
+
+def _checked(section: str, build, *args):
+    """Call ``build``, reporting a value it rejects as a config error."""
+    try:
+        return build(*args)
+    except (ValueError, ConnectivityFailure) as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def build_schedule(cfg: RunConfig) -> PenaltySchedule | None:
@@ -177,32 +189,24 @@ def build_schedule(cfg: RunConfig) -> PenaltySchedule | None:
         return None
     kind = cfg.get("algo", "schedule", "power")
     raw = cfg.get("algo", "schedule_params", "1.3,1")
-    params = [float(v) for v in raw.split(",") if v.strip()]
+    params = [_as_float("algo", "schedule_params", v)
+              for v in raw.split(",") if v.strip()]
+    if kind not in ("fixed", "power", "geometric", "adaptive"):
+        raise ConfigError(f"unknown schedule kind {kind!r}")
     try:
-        if kind == "fixed":
-            return PenaltySchedule.fixed(*params)
-        if kind == "power":
-            return PenaltySchedule.power(*params)
-        if kind == "geometric":
-            return PenaltySchedule.geometric(*params)
-        if kind == "adaptive":
-            return PenaltySchedule.adaptive(*params)
+        return getattr(PenaltySchedule, kind)(*params)
     except TypeError:
         raise ConfigError(f"[algo] schedule_params {raw!r} does not match "
                           f"schedule {kind!r}") from None
-    raise ConfigError(f"unknown schedule kind {kind!r}")
+    except DomainError as exc:
+        raise ConfigError(f"[algo] {exc}") from None
 
 
 def instance_hash(problem: ProblemInstance, graph: Supergraph,
                   failures: FailureModel) -> str:
     """Hash identifying the exact problem + network an experiment ran on."""
-    buf = io.StringIO()
-    buf.write(instance_text(problem))
-    buf.write(f"{graph.n}\n")
-    for i, j in graph.edges:
-        buf.write(f"{i} {j} {failures.success_prob((i, j)):.17g} "
-                  f"{failures.success_prob((j, i)):.17g}\n")
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    text = instance_text(problem) + network_text(graph, failures)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def manifest_hash(sections: dict, seed: int) -> str:
@@ -211,14 +215,20 @@ def manifest_hash(sections: dict, seed: int) -> str:
 
 
 class OracleCache:
-    """Reference-value store keyed by instance hash."""
+    """Reference-value store keyed by instance hash. Writes replace the
+    file whole; an unreadable file is ignored with a warning."""
 
     def __init__(self, path):
         self.path = path
         self._data: dict[str, dict] = {}
         if path is not None and os.path.exists(path):
-            with open(path) as fh:
-                self._data = json.load(fh)
+            try:
+                with open(path) as fh:
+                    self._data = dict(json.load(fh))
+            except (TypeError, ValueError) as exc:
+                warnings.warn(f"ignoring corrupt oracle cache {path} "
+                              f"({exc}); reference values are recomputed",
+                              stacklevel=2)
 
     def get(self, key: str) -> dict | None:
         return self._data.get(key)
@@ -226,8 +236,14 @@ class OracleCache:
     def put(self, key: str, record: dict) -> None:
         self._data[key] = record
         if self.path is not None:
-            with open(self.path, "w") as fh:
-                json.dump(self._data, fh, indent=1, sort_keys=True)
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w") as fh:
+                    json.dump(self._data, fh, indent=1, sort_keys=True)
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
 
 
 def reference_value(problem: ProblemInstance,
@@ -242,9 +258,19 @@ def reference_value(problem: ProblemInstance,
         return problem.analytic_optimum()
     if isinstance(problem, LogRegInstance):
         return problem.reference_solution(max_iter=budget)
-    from .problem import centralized_oracle
-
     return centralized_oracle(problem, budget)
+
+
+def _cached_fstar(cache: OracleCache, key: str, problem: ProblemInstance,
+                  budget: int = 200000) -> tuple[float, bool]:
+    """Reference optimum value of an instance and whether it came from the
+    cache; a solved value is stored."""
+    hit = cache.get(key)
+    if hit is not None:
+        return float(hit["fstar"]), True
+    x, f = reference_value(problem, budget)
+    cache.put(key, {"fstar": float(f), "x": np.asarray(x).tolist()})
+    return float(f), False
 
 
 def resolve_fstar(cfg: RunConfig, problem: ProblemInstance,
@@ -254,14 +280,9 @@ def resolve_fstar(cfg: RunConfig, problem: ProblemInstance,
         return None
     if mode != "auto":
         return _as_float("run", "fstar", mode)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return float(hit["fstar"])
-    x, f = reference_value(problem)
-    if cache is not None:
-        cache.put(key, {"fstar": float(f), "x": np.asarray(x).tolist()})
-    return float(f)
+    if cache is None:
+        cache = OracleCache(None)
+    return _cached_fstar(cache, key, problem)[0]
 
 
 @dataclass
@@ -294,6 +315,26 @@ def run(config: RunConfig | str, out_dir: str | None = None,
     t_outer = _as_int("run", "t_outer", _require(config, "run", "t_outer"))
     checkpoint = _as_int("run", "checkpoint",
                          config.get("run", "checkpoint", "100"))
+    # Every algorithm parameter is checked before the reference solve.
+    if algo == "ps":
+        alpha = _as_float("algo", "alpha", _require(config, "algo", "alpha"))
+        if alpha <= 0:
+            raise ConfigError(f"[algo] alpha must be positive, got {alpha}")
+    else:
+        k_raw = config.get("run", "k_inner", "auto")
+        k_inner = (default_inner_events(graph) if k_raw == "auto"
+                   else _as_int("run", "k_inner", k_raw))
+        inner_budget = _as_int("algo", "inner_budget",
+                               config.get("algo", "inner_budget", "50"))
+        if inner_budget < 1:
+            raise ConfigError(f"[algo] inner_budget must be >= 1, got "
+                              f"{inner_budget}")
+        tol_raw = config.get("algo", "inner_tol")
+        inner_tol = None if tol_raw in (None, "") else _as_float(
+            "algo", "inner_tol", tol_raw)
+        stop_raw = config.get("algo", "stop_tol")
+        stop_tol = None if stop_raw in (None, "") else _as_float(
+            "algo", "stop_tol", stop_raw)
     inst_key = instance_hash(problem, graph, failures)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -302,30 +343,17 @@ def run(config: RunConfig | str, out_dir: str | None = None,
     fstar = resolve_fstar(config, problem, inst_key, cache)
 
     if algo == "ps":
-        alpha = _as_float("algo", "alpha", _require(config, "algo", "alpha"))
         log, state = run_ps(problem, graph, failures, alpha, t_outer,
                             run_seed, fstar=fstar,
                             checkpoint_every=checkpoint)
-        final_x = state.x
     else:
-        k_raw = config.get("run", "k_inner", "auto")
-        k_inner = (default_inner_events(graph) if k_raw == "auto"
-                   else _as_int("run", "k_inner", k_raw))
-        inner_budget = _as_int("algo", "inner_budget",
-                               config.get("algo", "inner_budget", "50"))
-        tol_raw = config.get("algo", "inner_tol")
-        inner_tol = None if tol_raw in (None, "") else _as_float(
-            "algo", "inner_tol", tol_raw)
-        stop_raw = config.get("algo", "stop_tol")
-        stop_tol = None if stop_raw in (None, "") else _as_float(
-            "algo", "stop_tol", stop_raw)
         log, state = run_outer(
             problem, graph, Variant(algo), schedule, t_outer, k_inner,
             run_seed, failures=failures, fstar=fstar,
             inner_budget=inner_budget, inner_tol=inner_tol,
             inner_stop_tol=stop_tol, checkpoint_every=checkpoint,
         )
-        final_x = state.x
+    final_x = state.x
 
     manifest = {
         "name": config.name,
@@ -337,7 +365,6 @@ def run(config: RunConfig | str, out_dir: str | None = None,
         "manifest_hash": manifest_hash(config.sections, run_seed),
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, config.name)
         log.to_csv(base + "_trace.csv")
         with open(base + "_manifest.json", "w") as fh:
@@ -403,13 +430,8 @@ def oracle(config: RunConfig | str, out_dir: str | None = None,
         os.makedirs(out_dir, exist_ok=True)
     cache = OracleCache(os.path.join(out_dir, "oracle_cache.json")
                         if out_dir is not None else None)
-    hit = cache.get(key)
-    if hit is not None:
-        return {"instance_hash": key, "fstar": hit["fstar"],
-                "cached": True}
-    x, f = reference_value(problem, budget)
-    cache.put(key, {"fstar": float(f), "x": np.asarray(x).tolist()})
-    return {"instance_hash": key, "fstar": float(f), "cached": False}
+    fstar, cached = _cached_fstar(cache, key, problem, budget)
+    return {"instance_hash": key, "fstar": fstar, "cached": cached}
 
 
 def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[dict]:
@@ -428,7 +450,6 @@ def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[di
                      "transmissions": final.transmissions,
                      "k": final.k, "feasible": final.feasible})
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
             res.log.to_csv(os.path.join(out_dir,
                                         f"{config.name}_seed{s}_trace.csv"))
     if out_dir is not None:

@@ -115,19 +115,3 @@ class MetricsLog:
                 return row
         return None
 
-
-def detect_plateau(values, window: int = 5, rel_tol: float = 1e-3):
-    """Index at which a decreasing series stalls.
-
-    The series has plateaued at index ``i`` when the relative improvement
-    over the trailing ``window`` entries falls below ``rel_tol``. Returns
-    ``None`` when no plateau is found.
-    """
-    vals = list(values)
-    for i in range(window, len(vals)):
-        prev, cur = vals[i - window], vals[i]
-        if prev <= 0:
-            return i
-        if (prev - cur) / abs(prev) < rel_tol:
-            return i
-    return None

@@ -415,12 +415,6 @@ def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
     return LogRegInstance(features, labels, lam_reg, ball_sq, v_bound, meta)
 
 
-def eval_global(inst: ProblemInstance, x: np.ndarray) -> float:
-    """Value of the summed objective at a single point (no feasibility
-    check; feasibility is queried separately)."""
-    return inst.global_value(np.asarray(x, dtype=float))
-
-
 def err_f(inst: ProblemInstance, xs: Sequence[np.ndarray],
           fstar: float) -> float:
     """Mean over nodes of the global-objective gap at each node's estimate.

@@ -126,20 +126,6 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     return best_x
 
 
-def y_closed_form(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,
-                  lam: np.ndarray, rho: float, sign: int) -> np.ndarray:
-    """Exact minimizer of the link-block quadratic with a common penalty:
-
-        y = y_ji/2 + x_i/2 + (mu - sign*lam) / (2 rho).
-
-    ``sign`` is the orientation sign of the link's consensus term (+1 when
-    the owner has the smaller id).
-    """
-    if rho <= 0:
-        raise DomainError(f"penalty must be positive, got {rho}")
-    return 0.5 * y_ji + 0.5 * x_i + (mu - sign * lam) / (2.0 * rho)
-
-
 def y_closed_form_peredge(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,
                           lam: np.ndarray, rho_lam: float, rho_mu: float,
                           sign: int) -> np.ndarray:
@@ -151,7 +137,10 @@ def y_closed_form_peredge(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,
         y = (rho_mu * x_i + rho_lam * y_ji + mu - sign*lam)
             / (rho_mu + rho_lam),
 
-    which reduces to :func:`y_closed_form` when the penalties coincide.
+    which with a common penalty ``rho`` is the midpoint form
+    ``y_ji/2 + x_i/2 + (mu - sign*lam) / (2 rho)``. ``sign`` is the
+    orientation sign of the link's consensus term (+1 when the owner has
+    the smaller id).
     """
     denom = rho_lam + rho_mu
     if denom <= 0:

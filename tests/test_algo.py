@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from algossip.algo import (ALBGState, ALGState, Counters, PenaltySchedule,
-                           SlotPenalties, consensus_spread,
                            constraint_violations, default_inner_events,
-                           dual_update_alg, dual_update_bg,
-                           expected_events_bound, inner_step_alg,
-                           inner_step_mg, lagrangian_alg, lagrangian_bg,
-                           lagrangian_eval, make_state, penalty_at,
-                           run_inner, run_outer, step_bg, update_adaptive)
+                           dual_update_alg, dual_update_bg, inner_step_alg,
+                           inner_step_mg, lagrangian_eval, make_state,
+                           penalty_at, run_inner, run_outer, step_bg,
+                           update_adaptive)
 from algossip.errors import ConfigError, DomainError, KindError
 from algossip.events import (ClockModel, Event, EventKind, Variant,
                              event_distribution)
@@ -19,7 +17,8 @@ from algossip.problem import QuadConsensusInstance
 
 
 def pen_of(graph, rho):
-    return SlotPenalties.constant(graph, rho)
+    """The same penalty on every arc's tie and link constraint."""
+    return np.full((2, graph.num_arcs), rho)
 
 
 class TestPenaltySchedule:
@@ -91,9 +90,8 @@ class TestLagrangian:
         state = ALGState(inst, ring4_graph)
         xbar = np.array([1.1, 0.2])
         state.x[:] = xbar
-        for a in ring4_graph.arcs:
-            state.y[a] = xbar.copy()
-            state.y_recv[a] = xbar.copy()
+        state.y[:] = xbar
+        state.y_recv[:] = xbar
         val = lagrangian_eval(state, pen_of(ring4_graph, 3.0))
         assert val == pytest.approx(inst.global_value(xbar))
 
@@ -101,8 +99,8 @@ class TestLagrangian:
         inst = QuadConsensusInstance([[0.0], [0.0]], weights=[0.0, 0.0])
         state = ALGState(inst, pair_graph)
         state.x[:] = 0.0
-        state.y[(0, 1)] = np.array([1.0])
-        state.y[(1, 0)] = np.array([0.0])
+        state.y[pair_graph.arc_id[(0, 1)]] = 1.0
+        state.y[pair_graph.arc_id[(1, 0)]] = 0.0
         # 0.5*2*(|0-1|^2 + |0-0|^2) + 0.5*2*|1-0|^2 = 1 + 1
         assert lagrangian_eval(state, pen_of(pair_graph, 2.0)) == \
             pytest.approx(2.0)
@@ -120,8 +118,10 @@ class TestLagrangian:
             direct += 0.5 * rho * float((x[i] - x[j]) @ (x[i] - x[j]))
             lam_bar[i] += lam_edge[(i, j)]
             lam_bar[j] -= lam_edge[(i, j)]
-        assert lagrangian_bg(inst, ring4_graph, x, lam_bar, rho) == \
-            pytest.approx(direct)
+        state = ALBGState(inst, ring4_graph)
+        state.x[:] = x
+        state.lam_bar[:] = lam_bar
+        assert lagrangian_eval(state, rho) == pytest.approx(direct)
 
 
 class TestInnerStepALG:
@@ -134,8 +134,7 @@ class TestInnerStepALG:
                        counters=counters)
         assert counters.transmissions == 1
         np.testing.assert_array_equal(state.x, before[0])
-        for a in pair_graph.arcs:
-            np.testing.assert_array_equal(state.y[a], before[1][a])
+        np.testing.assert_array_equal(state.y, before[1])
 
     def test_consensus_point_is_fixed(self, ring4_graph):
         # identical targets: zero subgradient at the consensus value
@@ -143,9 +142,8 @@ class TestInnerStepALG:
         state = ALGState(inst, ring4_graph)
         xbar = np.array([1.5, -0.5])
         state.x[:] = xbar
-        for a in ring4_graph.arcs:
-            state.y[a] = xbar.copy()
-            state.y_recv[a] = xbar.copy()
+        state.y[:] = xbar
+        state.y_recv[:] = xbar
         pen = pen_of(ring4_graph, 2.0)
         for ev in [Event(EventKind.X_UPDATE, node=2),
                    Event(EventKind.Y_TRANSFER, arc=(0, 1)),
@@ -153,8 +151,8 @@ class TestInnerStepALG:
             inner_step_alg(state, ev, pen, counters=Counters())
         np.testing.assert_allclose(state.x, np.tile(xbar, (4, 1)),
                                    atol=1e-12)
-        for a in ring4_graph.arcs:
-            np.testing.assert_allclose(state.y[a], xbar, atol=1e-12)
+        np.testing.assert_allclose(state.y, np.tile(xbar, (8, 1)),
+                                   atol=1e-12)
 
     def test_descent_over_thousand_exact_steps(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
@@ -176,15 +174,16 @@ class TestInnerStepALG:
     def test_transfer_updates_receiver_copy_and_block(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
         state = ALGState(inst, pair_graph)
-        state.y[(0, 1)] = np.array([0.7])
+        a01, a10 = pair_graph.arc_id[(0, 1)], pair_graph.arc_id[(1, 0)]
+        state.y[a01] = 0.7
         state.x[1] = np.array([2.0])
         counters = Counters()
         inner_step_alg(state, Event(EventKind.Y_TRANSFER, arc=(0, 1)),
                        pen_of(pair_graph, 1.0), counters=counters)
-        np.testing.assert_array_equal(state.y_recv[(0, 1)], [0.7])
-        assert state.stale[(0, 1)] == 0.0
+        np.testing.assert_array_equal(state.y_recv[a01], [0.7])
+        assert state.stale[a01] == 0.0
         # y_10 = y_01/2 + x_1/2 + (mu - sign(0-1)*lam)/(2 rho), duals zero
-        assert state.y[(1, 0)][0] == pytest.approx(0.5 * 0.7 + 0.5 * 2.0)
+        assert state.y[a10][0] == pytest.approx(0.5 * 0.7 + 0.5 * 2.0)
         assert counters.transmissions == 1
 
 
@@ -197,24 +196,28 @@ class TestDualUpdateALG:
 
     def test_matching_values_leave_duals_unchanged(self, pair_graph):
         state = self.make_converged_state(pair_graph)
+        a01, a10 = pair_graph.arc_id[(0, 1)], pair_graph.arc_id[(1, 0)]
+        x_final, y_final, y_recv_final = state.final
         # defaults: y_final equals the receiver copy only if x0(0) == x1(0)
-        state.y_final[(0, 1)] = np.array([0.4])
-        state.y_recv_final[(1, 0)] = np.array([0.4])
-        state.x_final[0] = np.array([0.4])
+        y_final[a01] = 0.4
+        y_recv_final[a10] = 0.4
+        x_final[0] = 0.4
         dual_update_alg(state, pen_of(pair_graph, 2.0))
-        np.testing.assert_array_equal(state.lam[(0, 1)], [0.0])
-        np.testing.assert_array_equal(state.mu[(0, 1)], [0.0])
+        np.testing.assert_array_equal(state.lam[a01], [0.0])
+        np.testing.assert_array_equal(state.mu[a01], [0.0])
         assert state.t == 1
 
     def test_forced_arithmetic_of_the_multiplier_step(self, pair_graph):
         state = self.make_converged_state(pair_graph)
-        state.y_final[(0, 1)] = np.array([1.0])
-        state.y_recv_final[(1, 0)] = np.array([0.5])
-        state.x_final[0] = np.array([1.0])
+        a01, a10 = pair_graph.arc_id[(0, 1)], pair_graph.arc_id[(1, 0)]
+        x_final, y_final, y_recv_final = state.final
+        y_final[a01] = 1.0
+        y_recv_final[a10] = 0.5
+        x_final[0] = 1.0
         dual_update_alg(state, pen_of(pair_graph, 2.0))
         # sign(1-0) = +1: lam += 2 * (1 - 0.5)
-        assert state.lam[(0, 1)][0] == pytest.approx(1.0)
-        assert state.mu[(0, 1)][0] == pytest.approx(0.0)  # x == y
+        assert state.lam[a01][0] == pytest.approx(1.0)
+        assert state.mu[a01][0] == pytest.approx(0.0)  # x == y
 
     def test_requires_snapshots(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
@@ -237,12 +240,12 @@ class TestInnerStepMG:
         inst = QuadConsensusInstance(rng.normal(size=(3, 2)))
         state_a = ALGState(inst, path3_graph)
         # desynchronize the link variables first
-        for a in path3_graph.arcs:
+        for a in range(path3_graph.num_arcs):
             state_a.y[a] = rng.normal(size=2)
             state_a.mu[a] = rng.normal(size=2) * 0.1
-        for (i, j) in path3_graph.edges:
+        for a in path3_graph.edge_fwd:
             lam = rng.normal(size=2) * 0.1
-            state_a.lam[(i, j)], state_a.lam[(j, i)] = lam.copy(), lam.copy()
+            state_a.lam[a] = state_a.lam[path3_graph.arc_rev[a]] = lam
         state_b = copy.deepcopy(state_a)
         pen = pen_of(path3_graph, 1.3)
         inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=1,
@@ -251,14 +254,12 @@ class TestInnerStepMG:
         for j in (0, 2):
             inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=(1, j)),
                            pen, counters=Counters())
-        for a in path3_graph.arcs:
-            np.testing.assert_allclose(state_a.y[a], state_b.y[a],
-                                       atol=1e-15)
+        np.testing.assert_allclose(state_a.y, state_b.y, atol=1e-15)
 
     def test_single_neighbor_broadcast_reduces_to_pairwise(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
         state_a = ALGState(inst, pair_graph)
-        state_a.y[(0, 1)] = np.array([0.9])
+        state_a.y[pair_graph.arc_id[(0, 1)]] = 0.9
         state_b = copy.deepcopy(state_a)
         pen = pen_of(pair_graph, 1.0)
         inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=0,
@@ -266,7 +267,7 @@ class TestInnerStepMG:
                       counters=Counters())
         inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=(0, 1)),
                        pen, counters=Counters())
-        np.testing.assert_array_equal(state_a.y[(1, 0)], state_b.y[(1, 0)])
+        np.testing.assert_array_equal(state_a.y, state_b.y)
 
 
 class TestBroadcastVariant:
@@ -347,7 +348,7 @@ class TestRunInner:
                             np.random.default_rng(0), Counters(), k_inner=0)
         assert applied == 0
         np.testing.assert_array_equal(state.x, x_before)
-        assert state.x_final is not None
+        assert state.final is not None
 
     def test_converges_to_dense_inner_solution(self, path3_graph):
         # independent oracle: assemble the slot's quadratic in all blocks
@@ -356,14 +357,16 @@ class TestRunInner:
         rho = 1.7
         rng = np.random.default_rng(5)
         state = ALGState(inst, path3_graph)
-        for a in path3_graph.arcs:
+        for a in range(path3_graph.num_arcs):
             state.mu[a] = rng.normal(size=1) * 0.3
-        for (i, j) in path3_graph.edges:
+        for a in path3_graph.edge_fwd:
             lam = rng.normal(size=1) * 0.3
-            state.lam[(i, j)], state.lam[(j, i)] = lam.copy(), lam.copy()
+            state.lam[a] = state.lam[path3_graph.arc_rev[a]] = lam
 
         arcs = list(path3_graph.arcs)
         idx = {a: 3 + t for t, a in enumerate(arcs)}
+        mu = {a: state.mu[t] for t, a in enumerate(arcs)}
+        lam = {a: state.lam[t] for t, a in enumerate(arcs)}
         dim = 3 + len(arcs)
         hess = np.zeros((dim, dim))
         lin = np.zeros(dim)
@@ -372,16 +375,16 @@ class TestRunInner:
             lin[i] -= 2.0 * inst.targets[i, 0]
         for a in arcs:
             i, y = a[0], idx[a]
-            lin[i] += state.mu[a][0]
-            lin[y] -= state.mu[a][0]
+            lin[i] += mu[a][0]
+            lin[y] -= mu[a][0]
             hess[i, i] += rho
             hess[y, y] += rho
             hess[i, y] -= rho
             hess[y, i] -= rho
         for (i, j) in path3_graph.edges:
             yij, yji = idx[(i, j)], idx[(j, i)]
-            lin[yij] += state.lam[(i, j)][0]
-            lin[yji] -= state.lam[(j, i)][0]
+            lin[yij] += lam[(i, j)][0]
+            lin[yji] -= lam[(j, i)][0]
             hess[yij, yij] += rho
             hess[yji, yji] += rho
             hess[yij, yji] -= rho
@@ -395,8 +398,7 @@ class TestRunInner:
                   pen_of(path3_graph, rho), np.random.default_rng(2),
                   Counters(), k_inner=50_000, stop_tol=1e-12)
         np.testing.assert_allclose(state.x.ravel(), z_star[:3], atol=1e-6)
-        for a in arcs:
-            assert state.y[a][0] == pytest.approx(z_star[idx[a]], abs=1e-6)
+        np.testing.assert_allclose(state.y.ravel(), z_star[3:], atol=1e-6)
 
     def test_fixed_seed_reproduces_trajectory(self, ring4_graph):
         inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
@@ -413,8 +415,7 @@ class TestRunInner:
 
         a, b = once(), once()
         np.testing.assert_array_equal(a.x, b.x)
-        for arc in ring4_graph.arcs:
-            np.testing.assert_array_equal(a.y[arc], b.y[arc])
+        np.testing.assert_array_equal(a.y, b.y)
 
 
 class TestDualConsistency:
@@ -437,12 +438,14 @@ class TestDualConsistency:
         inst = QuadConsensusInstance([[0.0], [2.0]])
         state = ALGState(inst, pair_graph)
         state.snapshot_finals()
-        state.x_final[0] = np.array([1.0])
-        state.y_final[(0, 1)] = np.array([0.25])
-        state.y_recv_final[(1, 0)] = np.array([0.75])
+        a01, a10 = pair_graph.arc_id[(0, 1)], pair_graph.arc_id[(1, 0)]
+        x_final, y_final, y_recv_final = state.final
+        x_final[0] = 1.0
+        y_final[a01] = 0.25
+        y_recv_final[a10] = 0.75
         eps_mu, eps_lam = constraint_violations(state)
-        assert eps_mu[(0, 1)] == pytest.approx(0.75)
-        assert eps_lam[(0, 1)] == pytest.approx(0.5)
+        assert eps_mu[a01] == pytest.approx(0.75)
+        assert eps_lam[a01] == pytest.approx(0.5)
 
 
 class TestRunOuter:
@@ -463,7 +466,8 @@ class TestRunOuter:
                                k_inner=default_inner_events(ring4_graph),
                                seed=1, fstar=f_star, checkpoint_every=0)
         assert log.rows[-1].err_f < 1e-4
-        assert consensus_spread(state.x) < 1e-3
+        spread = np.linalg.norm(state.x - state.x.mean(axis=0), axis=1)
+        assert spread.max() < 1e-3
 
     def test_pairwise_and_broadcast_agree_with_oracle(self, ring4_graph):
         rng = np.random.default_rng(0)
@@ -540,12 +544,6 @@ class TestRunOuter:
 
 
 class TestDiagnostics:
-    def test_expected_events_bound(self):
-        assert expected_events_bound(10.0, 4.0, 2.0) == pytest.approx(3.0)
-        assert expected_events_bound(4.0, 10.0, 2.0) == 0.0
-        with pytest.raises(DomainError):
-            expected_events_bound(10.0, 4.0, 0.0)
-
     def test_block_optimal_point_is_event_invariant(self, path3_graph):
         # run the sweep to (numerical) block optimality, then check every
         # event type leaves the state unchanged
@@ -559,12 +557,11 @@ class TestDiagnostics:
                   np.random.default_rng(1), Counters(), k_inner=100_000,
                   stop_tol=1e-13)
         x_before = state.x.copy()
-        y_before = {a: v.copy() for a, v in state.y.items()}
+        y_before = state.y.copy()
         events = [Event(EventKind.X_UPDATE, node=i) for i in range(3)]
         events += [Event(EventKind.Y_TRANSFER, arc=a)
                    for a in path3_graph.arcs]
         for ev in events:
             inner_step_alg(state, ev, pen, counters=Counters())
         np.testing.assert_allclose(state.x, x_before, atol=1e-11)
-        for a in path3_graph.arcs:
-            np.testing.assert_allclose(state.y[a], y_before[a], atol=1e-11)
+        np.testing.assert_allclose(state.y, y_before, atol=1e-11)

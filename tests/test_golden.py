@@ -35,7 +35,7 @@ def test_run_reproduces_pinned_bytes(cfg, tmp_path):
     for suffix in OUTPUTS:
         name = cfg.stem + suffix
         assert (tmp_path / name).read_bytes() == \
-            (GOLDEN / name).read_bytes(), f"{name} differs from the pinned copy"
+            (GOLDEN / name).read_bytes(), f"{name} differs from its pin"
 
 
 def regenerate(scratch: Path) -> None:

@@ -4,9 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algossip.errors import ConnectivityFailure, DomainError
+from algossip.events import sample_mg_event
 from algossip.graph import (FailureModel, Supergraph, build_geometric,
-                            failure_prob, load_network, sample_adjacency,
-                            save_network)
+                            failure_prob, load_network, save_network)
+
+
+def delivered(model, sender, receiver, rng) -> bool:
+    """Whether one broadcast from ``sender`` reaches ``receiver`` (each arc
+    is drawn independently with its success probability)."""
+    ev = sample_mg_event(sender, model.graph, model, rng)
+    return receiver in (ev.receivers or ())
 
 
 class TestSupergraph:
@@ -93,9 +100,9 @@ class TestFailureProb:
 class TestFailureModel:
     def test_always_on_has_all_arcs_available(self, ring4_graph, rng):
         model = FailureModel.always_on(ring4_graph)
-        mask = sample_adjacency(model, rng)
-        assert all(mask.values())
-        assert set(mask) == set(ring4_graph.arcs)
+        for i in range(ring4_graph.n):
+            ev = sample_mg_event(i, ring4_graph, model, rng)
+            assert ev.receivers == ring4_graph.neighbors[i]
 
     def test_success_probability_positive_required(self, pair_graph):
         with pytest.raises(ValueError):
@@ -110,7 +117,7 @@ class TestFailureModel:
     def test_empirical_frequency_matches_probability(self, pair_graph):
         model = FailureModel.uniform(pair_graph, 0.5)
         rng = np.random.default_rng(77)
-        hits = sum(sample_adjacency(model, rng)[(0, 1)] for _ in range(10_000))
+        hits = sum(delivered(model, 0, 1, rng) for _ in range(10_000))
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_asymmetric_probabilities_per_arc(self, pair_graph):
@@ -119,9 +126,8 @@ class TestFailureModel:
         n = 4000
         up = down = 0
         for _ in range(n):
-            mask = sample_adjacency(model, rng)
-            up += mask[(0, 1)]
-            down += mask[(1, 0)]
+            up += delivered(model, 0, 1, rng)
+            down += delivered(model, 1, 0, rng)
         assert up == n
         # three-sigma binomial band around one half
         band = 3 * np.sqrt(0.25 / n)
@@ -131,7 +137,7 @@ class TestFailureModel:
         model = FailureModel.uniform(path3_graph, 0.3)
         rng = np.random.default_rng(9)
         n = 4000
-        hits = sum(sample_adjacency(model, rng)[(1, 2)] for _ in range(n))
+        hits = sum(delivered(model, 1, 2, rng) for _ in range(n))
         band = 3 * np.sqrt(0.3 * 0.7 / n)
         assert abs(hits / n - 0.3) <= band
 

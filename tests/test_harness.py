@@ -8,7 +8,7 @@ import pytest
 from algossip import harness
 from algossip.cli import main as cli_main
 from algossip.errors import ConfigError, MismatchError
-from algossip.metrics import MetricsLog, MetricsRow, detect_plateau
+from algossip.metrics import MetricsLog, MetricsRow
 from algossip.problem import err_f
 
 QUAD_CONFIG = """
@@ -229,6 +229,36 @@ class TestOracle:
         assert open(cache_file).read() == before
 
 
+    def test_corrupt_cache_warns_and_is_recomputed(self, tmp_path):
+        cfg = write_config(tmp_path)
+        clean = harness.run(str(cfg), out_dir=str(tmp_path / "clean"))
+        full = (tmp_path / "clean" / "oracle_cache.json").read_text()
+        out = tmp_path / "out"
+        out.mkdir()
+        cache = out / "oracle_cache.json"
+        cache.write_text(full[: len(full) // 2])  # a write cut short
+        with pytest.warns(UserWarning, match="corrupt oracle cache"):
+            res = harness.run(str(cfg), out_dir=str(out))
+        assert res.manifest["fstar"] == clean.manifest["fstar"]
+        assert json.loads(cache.read_text()) == json.loads(full)
+
+    def test_interrupted_write_keeps_previous_cache(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "oracle_cache.json"
+        cache = harness.OracleCache(str(path))
+        cache.put("a", {"fstar": 1.0})
+        before = path.read_bytes()
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cache.put("b", {"fstar": 2.0})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestCompare:
     def test_single_config_degenerate_table(self, tmp_path):
         table = harness.compare([write_config(tmp_path)], [1e-2])
@@ -309,6 +339,30 @@ class TestCLI:
         bad = write_config(tmp_path, body="[problem]\nkind = quad\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("old,new,args", [
+        ("schedule_params = 1.3,1", "schedule_params = 1.3,x", ["run"]),
+        ("schedule = power\nschedule_params = 1.3,1",
+         "schedule = fixed\nschedule_params = -1", ["run"]),
+        ("name = alg", "name = alg\ninner_budget = 0", ["run"]),
+        ("radius = 0.9", "radius = 0.01", ["run"]),
+        ("failures = always_on", "failures = uniform\nfailure_p = 1.5",
+         ["run"]),
+        ("", "", ["sweep", "--seeds", "x..3"]),
+    ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
+            "failure_p", "seeds"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, old,
+                                             new, args):
+        body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
+        assert old in body
+        cfg = write_config(tmp_path, body=body.replace(old, new))
+        out = tmp_path / "out"
+        assert cli_main(args[:1] + ["--config", str(cfg), "--out", str(out)]
+                        + args[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        # rejected before the reference solve
+        assert not (out / "oracle_cache.json").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         runaway = QUAD_CONFIG.format(name="ps", t_outer=200,
                                      extra="alpha = 1e6")
@@ -317,14 +371,3 @@ class TestCLI:
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli_main(["run", "--config", str(cfg)]) == 3
 
-
-class TestPlateauDetection:
-    def test_detects_stall(self):
-        series = [1.0, 0.5, 0.25, 0.2, 0.199, 0.1989, 0.19889, 0.198889,
-                  0.1988889, 0.19888889]
-        idx = detect_plateau(series, window=3, rel_tol=1e-3)
-        assert idx is not None and idx >= 5
-
-    def test_steady_decrease_has_no_plateau(self):
-        series = [2.0 ** (-k) for k in range(20)]
-        assert detect_plateau(series, window=3, rel_tol=1e-3) is None

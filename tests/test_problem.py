@@ -3,9 +3,8 @@ import pytest
 
 from algossip.errors import NonConvergence
 from algossip.problem import (LogRegInstance, QuadConsensusInstance,
-                              centralized_oracle, err_f, eval_global,
-                              gen_logreg, instance_text, load_instance,
-                              save_instance)
+                              centralized_oracle, err_f, gen_logreg,
+                              instance_text, load_instance, save_instance)
 
 # Frozen reference for the desk-scale classification instance
 # (5 nodes, 5 features, 5 samples/node, noise 0.1, seed 1), computed with
@@ -20,7 +19,7 @@ def quad_two_nodes(**kw):
 class TestQuadConsensus:
     def test_global_value_is_plain_sum(self):
         inst = quad_two_nodes()
-        assert eval_global(inst, np.array([1.0])) == pytest.approx(2.0)
+        assert inst.global_value(np.array([1.0])) == pytest.approx(2.0)
 
     def test_unconstrained_optimum_is_mean(self):
         x, f = quad_two_nodes().analytic_optimum()
@@ -36,7 +35,7 @@ class TestQuadConsensus:
     def test_value_at_optimum_matches_fstar(self):
         inst = quad_two_nodes()
         x, f = inst.analytic_optimum()
-        assert eval_global(inst, x) == pytest.approx(f, abs=1e-15)
+        assert inst.global_value(x) == pytest.approx(f, abs=1e-15)
 
     def test_projection_is_clipping(self):
         inst = quad_two_nodes(lo=[[0.0], [0.0]], hi=[[1.0], [1.5]])
@@ -48,7 +47,7 @@ class TestLogRegInstance:
     def test_zero_data_value_is_log_two_per_sample(self):
         inst = LogRegInstance(np.zeros((2, 3, 2)), np.ones((2, 3)), 0.0,
                               [1.0, 1.0], [1.0, 1.0])
-        got = eval_global(inst, np.zeros(3))
+        got = inst.global_value(np.zeros(3))
         assert got == pytest.approx(2 * 3 * np.log(2))
 
     def test_labels_are_validated(self):
@@ -207,7 +206,7 @@ class TestCentralizedOracle:
         x0 = inst.project_intersection(np.zeros(1))
         with pytest.warns(NonConvergence):
             _, f = centralized_oracle(inst, 50, step_scale=0.1)
-        assert f <= eval_global(inst, x0)
+        assert f <= inst.global_value(x0)
 
 
 class TestErrF:
@@ -226,7 +225,7 @@ class TestErrF:
         x_star, f = inst.analytic_optimum()
         # one node at the optimum, one at cost f* + 2
         off = np.array([1.0 + np.sqrt(2) / np.sqrt(2)])  # cost 2 above f*
-        assert eval_global(inst, off) == pytest.approx(f + 2.0)
+        assert inst.global_value(off) == pytest.approx(f + 2.0)
         assert err_f(inst, [x_star, off], f) == pytest.approx(1.0)
 
 

@@ -5,7 +5,7 @@ from scipy.optimize import minimize_scalar
 from algossip.errors import DomainError
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 from algossip.subsolve import (XSubproblem, solve_bg_block, solve_x_block,
-                               y_closed_form, y_closed_form_peredge)
+                               y_closed_form_peredge)
 
 
 def link_objective(y, x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
@@ -34,26 +34,32 @@ def parabola_vertex_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
     return out
 
 
+def y_common_penalty(x_i, y_ji, mu, lam, rho, sign):
+    """The link-block minimizer with one penalty on both constraints."""
+    return y_closed_form_peredge(x_i, y_ji, mu, lam, rho, rho, sign)
+
+
 class TestYClosedForm:
     def test_midpoint_with_zero_duals(self):
-        y = y_closed_form(np.array([2.0]), np.array([4.0]), np.zeros(1),
-                          np.zeros(1), rho=1.0, sign=1)
+        y = y_common_penalty(np.array([2.0]), np.array([4.0]), np.zeros(1),
+                             np.zeros(1), rho=1.0, sign=1)
         assert y == pytest.approx(3.0)
 
     def test_dual_offset_term(self):
-        y = y_closed_form(np.zeros(1), np.zeros(1), np.array([1.0]),
-                          np.zeros(1), rho=0.5, sign=1)
+        y = y_common_penalty(np.zeros(1), np.zeros(1), np.array([1.0]),
+                             np.zeros(1), rho=0.5, sign=1)
         assert y == pytest.approx(1.0)
 
     def test_mixed_duals_case(self):
-        y = y_closed_form(np.array([1.0]), np.array([0.0]),
-                          np.array([0.2]), np.array([0.4]), rho=1.0, sign=1)
+        y = y_common_penalty(np.array([1.0]), np.array([0.0]),
+                             np.array([0.2]), np.array([0.4]), rho=1.0,
+                             sign=1)
         assert y == pytest.approx(0.4)
 
     def test_rejects_nonpositive_penalty(self):
         with pytest.raises(DomainError):
-            y_closed_form(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1),
-                          rho=0.0, sign=1)
+            y_common_penalty(np.zeros(1), np.zeros(1), np.zeros(1),
+                             np.zeros(1), rho=0.0, sign=1)
 
     def test_matches_scipy_minimizer_spot_checks(self):
         rng = np.random.default_rng(8)
@@ -61,7 +67,7 @@ class TestYClosedForm:
             x_i, y_ji, mu, lam = rng.normal(size=(4, 1))
             rho = float(rng.uniform(0.2, 3.0))
             sign = int(rng.choice([-1, 1]))
-            got = y_closed_form(x_i, y_ji, mu, lam, rho, sign)
+            got = y_common_penalty(x_i, y_ji, mu, lam, rho, sign)
             ref = minimize_scalar(
                 lambda s: link_objective(np.array([s]), x_i, y_ji, mu, lam,
                                          rho, rho, sign),
@@ -75,7 +81,7 @@ class TestYClosedForm:
         rng = np.random.default_rng(21)
         x_i, y_ji, mu, lam = rng.normal(size=(4, 3))
         rho, sign = 1.3, -1
-        y = y_closed_form(x_i, y_ji, mu, lam, rho, sign)
+        y = y_common_penalty(x_i, y_ji, mu, lam, rho, sign)
         base = link_objective(y, x_i, y_ji, mu, lam, rho, rho, sign)
         for _ in range(100):
             delta = rng.normal(size=3)
@@ -92,7 +98,7 @@ class TestYClosedFormPerEdge:
             rho = float(rng.uniform(0.1, 5.0))
             sign = int(rng.choice([-1, 1]))
             a = y_closed_form_peredge(x_i, y_ji, mu, lam, rho, rho, sign)
-            b = y_closed_form(x_i, y_ji, mu, lam, rho, sign)
+            b = 0.5 * y_ji + 0.5 * x_i + (mu - sign * lam) / (2.0 * rho)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_weighted_average_with_zero_duals(self):
