@@ -13,6 +13,7 @@ the arc ids of :class:`~algossip.graph.Supergraph`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,16 +280,21 @@ class Counters:
 
 def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
                     inner_tol: float | None, counters: Counters) -> float:
+    arcs = state.graph.out_slice[i]
+    rho = rho_mu[arcs]
+    terms = state.mu[arcs] - np.array(rho)[:, None] * state.y[arcs]
+    # Summed one row at a time from zero, like a loop of +=: a reduction
+    # over a single column would sum pairwise and round differently.
     linear = np.zeros(state.problem.dim)
     quad = 0.0
-    arcs = state.graph.out_slice[i]
-    for a in range(arcs.start, arcs.stop):
-        linear += state.mu[a] - rho_mu[a] * state.y[a]
-        quad += rho_mu[a]
+    for r, row in zip(rho, terms):
+        linear += row
+        quad += r
     sub = XSubproblem(state.problem, i, linear, quad)
     new = solve_x_block(sub, inner_budget, inner_tol, warm_start=state.x[i],
                         counters=counters)
-    moved = float(np.linalg.norm(new - state.x[i]))
+    d = new - state.x[i]
+    moved = math.sqrt(d.dot(d))
     state.x[i] = new
     state.x_move[i] = moved
     return moved
@@ -307,7 +313,8 @@ def _deliver_and_update(state: ALGState, inbound: int, rho_mu, rho_lam,
         state.mu[out], state.lam[out], rho_lam[out], rho_mu[out],
         g.arc_sign[out],
     )
-    moved = float(np.linalg.norm(new - state.y[out]))
+    d = new - state.y[out]
+    moved = math.sqrt(d.dot(d))
     state.stale[out] += moved
     state.y[out] = new
     state.y_move[out] = moved
@@ -385,7 +392,8 @@ def step_bg(state: ALBGState, node: int, rho: float,
                          int(state.graph.degrees[node]), rho,
                          inner_budget, inner_tol,
                          warm_start=state.x[node], counters=counters)
-    moved = float(np.linalg.norm(new - state.x[node]))
+    d = new - state.x[node]
+    moved = math.sqrt(d.dot(d))
     state.x[node] = new
     state.x_bcast[node] = new.copy()
     state.x_move[node] = moved
@@ -597,6 +605,9 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
 
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
                   k_inner, inner_budget, inner_tol, inner_stop_tol, on_event)
+        if not np.isfinite(state.x).all():
+            raise NumericError(f"non-finite node estimate at the end of "
+                               f"slot {t} (k={counters.k})")
         if variant is Variant.ALBG:
             dual_update_bg(state, pen)
         else:

@@ -24,7 +24,7 @@ from .errors import ConfigError, ConnectivityFailure, DomainError, \
     MismatchError
 from .graph import (FailureModel, Supergraph, build_geometric, load_network,
                     network_text)
-from .metrics import MetricsLog
+from .metrics import MetricsLog, write_atomic
 from .problem import (LogRegInstance, ProblemInstance, QuadConsensusInstance,
                       centralized_oracle, err_f, gen_logreg, instance_text,
                       load_instance)
@@ -103,24 +103,29 @@ def parse_config(path) -> RunConfig:
 def build_problem(cfg: RunConfig) -> ProblemInstance:
     kind = _require(cfg, "problem", "kind")
     if kind == "file":
-        return load_instance(_require(cfg, "problem", "file"))
+        return _checked("problem", load_instance,
+                        _require(cfg, "problem", "file"))
     if kind == "quad":
         n = _as_int("problem", "nodes", _require(cfg, "problem", "nodes"))
         dim = _as_int("problem", "dim", _require(cfg, "problem", "dim"))
+        if n < 1 or dim < 1:
+            raise ConfigError(f"[problem] nodes and dim must be >= 1, got "
+                              f"{n} and {dim}")
         targets_text = cfg.get("problem", "targets")
         if targets_text is not None:
-            rows = [r for r in targets_text.split(";") if r.strip()]
-            targets = np.array([[float(v) for v in r.split()] for r in rows])
-            if targets.shape != (n, dim):
+            rows = [[_as_float("problem", "targets", v) for v in r.split()]
+                    for r in targets_text.split(";") if r.strip()]
+            if len(rows) != n or any(len(r) != dim for r in rows):
                 raise ConfigError(f"[problem] targets must be {n} rows of "
                                   f"{dim} values")
+            targets = np.array(rows)
         else:
             seed = _as_int("problem", "seed",
                            _require(cfg, "problem", "seed"))
             spread = _as_float("problem", "spread",
                                cfg.get("problem", "spread", "1.0"))
-            targets = np.random.default_rng(seed).normal(0.0, spread,
-                                                         (n, dim))
+            targets = _checked("problem", np.random.default_rng(seed).normal,
+                               0.0, spread, (n, dim))
         lo = cfg.get("problem", "lo")
         hi = cfg.get("problem", "hi")
         lo_arr = hi_arr = None
@@ -129,9 +134,11 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
                 raise ConfigError("[problem] lo and hi must be given together")
             lo_arr = np.full((n, dim), _as_float("problem", "lo", lo))
             hi_arr = np.full((n, dim), _as_float("problem", "hi", hi))
-        return QuadConsensusInstance(targets, lo=lo_arr, hi=hi_arr)
+        return _checked("problem", QuadConsensusInstance, targets, lo_arr,
+                        hi_arr)
     if kind == "logreg":
-        return gen_logreg(
+        return _checked(
+            "problem", gen_logreg,
             _as_int("problem", "nodes", _require(cfg, "problem", "nodes")),
             _as_int("problem", "dim", _require(cfg, "problem", "dim")),
             _as_int("problem", "samples_per_node",
@@ -147,7 +154,7 @@ def build_graph(cfg: RunConfig,
                 problem: ProblemInstance) -> tuple[Supergraph, FailureModel]:
     gfile = cfg.get("graph", "file")
     if gfile is not None:
-        graph, failures = load_network(gfile)
+        graph, failures = _checked("graph", load_network, gfile)
         if graph.n != problem.n_nodes:
             raise ConfigError(f"graph file has {graph.n} nodes, problem has "
                               f"{problem.n_nodes}")
@@ -176,10 +183,11 @@ def build_graph(cfg: RunConfig,
 
 
 def _checked(section: str, build, *args):
-    """Call ``build``, reporting a value it rejects as a config error."""
+    """Call ``build``, reporting a value it rejects or a file it cannot
+    read as a config error."""
     try:
         return build(*args)
-    except (ValueError, ConnectivityFailure) as exc:
+    except (ValueError, OSError, ConnectivityFailure) as exc:
         raise ConfigError(f"[{section}] {exc}") from None
 
 
@@ -236,14 +244,8 @@ class OracleCache:
     def put(self, key: str, record: dict) -> None:
         self._data[key] = record
         if self.path is not None:
-            tmp = f"{self.path}.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w") as fh:
-                    json.dump(self._data, fh, indent=1, sort_keys=True)
-                os.replace(tmp, self.path)
-            finally:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
+            write_atomic(self.path, lambda fh: json.dump(
+                self._data, fh, indent=1, sort_keys=True))
 
 
 def reference_value(problem: ProblemInstance,
@@ -313,6 +315,8 @@ def run(config: RunConfig | str, out_dir: str | None = None,
     run_seed = seed if seed is not None else _as_int(
         "run", "seed", config.get("run", "seed", "0"))
     t_outer = _as_int("run", "t_outer", _require(config, "run", "t_outer"))
+    if t_outer < 0:
+        raise ConfigError(f"[run] t_outer must be nonnegative, got {t_outer}")
     checkpoint = _as_int("run", "checkpoint",
                          config.get("run", "checkpoint", "100"))
     # Every algorithm parameter is checked before the reference solve.
@@ -324,6 +328,9 @@ def run(config: RunConfig | str, out_dir: str | None = None,
         k_raw = config.get("run", "k_inner", "auto")
         k_inner = (default_inner_events(graph) if k_raw == "auto"
                    else _as_int("run", "k_inner", k_raw))
+        if k_inner < 0:
+            raise ConfigError(f"[run] k_inner must be nonnegative, got "
+                              f"{k_inner}")
         inner_budget = _as_int("algo", "inner_budget",
                                config.get("algo", "inner_budget", "50"))
         if inner_budget < 1:
@@ -367,12 +374,14 @@ def run(config: RunConfig | str, out_dir: str | None = None,
     if out_dir is not None:
         base = os.path.join(out_dir, config.name)
         log.to_csv(base + "_trace.csv")
-        with open(base + "_manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-        with open(base + "_state.txt", "w") as fh:
+        write_atomic(base + "_manifest.json", lambda fh: json.dump(
+            manifest, fh, indent=1, sort_keys=True))
+
+        def state_lines(fh):
             for i, row in enumerate(final_x):
                 fh.write(f"{i} " + " ".join(format(v, ".17g")
                                             for v in row) + "\n")
+        write_atomic(base + "_state.txt", state_lines)
     return RunResult(log=log, manifest=manifest, final_x=final_x)
 
 
@@ -407,7 +416,8 @@ def compare(configs, thresholds, out_dir: str | None = None,
             })
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "compare.csv"), "w") as fh:
+
+        def compare_lines(fh):
             fh.write("config,algorithm,threshold,reached,transmissions,k\n")
             for row in table:
                 fh.write(f"{row['config']},{row['algorithm']},"
@@ -415,6 +425,7 @@ def compare(configs, thresholds, out_dir: str | None = None,
                          f"{int(row['reached'])},"
                          f"{'' if row['transmissions'] is None else row['transmissions']},"
                          f"{'' if row['k'] is None else row['k']}\n")
+        write_atomic(os.path.join(out_dir, "compare.csv"), compare_lines)
     return table
 
 
@@ -453,11 +464,12 @@ def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[di
             res.log.to_csv(os.path.join(out_dir,
                                         f"{config.name}_seed{s}_trace.csv"))
     if out_dir is not None:
-        with open(os.path.join(out_dir, f"{config.name}_sweep.csv"),
-                  "w") as fh:
+        def sweep_lines(fh):
             fh.write("seed,err_f,transmissions,k,feasible\n")
             for r in rows:
                 fh.write(f"{r['seed']},{r['err_f']:.17g},"
                          f"{r['transmissions']},{r['k']},"
                          f"{int(r['feasible'])}\n")
+        write_atomic(os.path.join(out_dir, f"{config.name}_sweep.csv"),
+                     sweep_lines)
     return rows

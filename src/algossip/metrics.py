@@ -11,6 +11,7 @@ digits so a parsed file reproduces the in-memory log exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 COLUMNS = ("t", "k", "transmissions", "flops", "err_f", "L_value",
@@ -45,6 +46,20 @@ class MetricsRow:
         return cls(int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]),
                    float(parts[4]), float(parts[5]), float(parts[6]),
                    parts[7] == "1")
+
+
+def write_atomic(path, fill, newline: str | None = None) -> None:
+    """Write a text file whole or not at all: ``fill(fh)`` writes into a
+    temporary file next to ``path``, which then replaces ``path``. A write
+    that fails part-way leaves the previous file and no temporary."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            fill(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _same(a, b) -> bool:
@@ -88,10 +103,11 @@ class MetricsLog:
         return [getattr(r, name) for r in self.rows]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        def lines(fh):
             fh.write(",".join(COLUMNS) + "\n")
             for row in self.rows:
                 fh.write(row.to_csv_line() + "\n")
+        write_atomic(path, lines, newline="")
 
     @classmethod
     def from_csv(cls, path) -> "MetricsLog":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 import json
+import math
 import warnings
 from typing import Sequence
 
@@ -30,7 +31,9 @@ class ProblemInstance(abc.ABC):
 
     Subclasses expose the node objective ``f_i``, a subgradient of it, and
     the Euclidean projection onto the node's constraint set. Instances are
-    immutable after construction and all callbacks are pure.
+    immutable after construction and all callbacks are pure. The composite
+    callbacks return fresh arrays, which the node solver keeps without
+    copying.
     """
 
     dim: int
@@ -221,34 +224,57 @@ class LogRegInstance(ProblemInstance):
                                                            axis=2)
         self._lip = np.array([0.25 * np.linalg.norm(self._design[i], 2) ** 2
                               for i in range(self.n_nodes)])
+        # The callbacks below run once per inner iteration on tiny arrays,
+        # where numpy's per-call overhead, not arithmetic, is the cost; they
+        # use the cheapest form that gives the same bits as the plain
+        # formulas (tests/test_problem.py holds those as references).
+        # Negating the design is exact, and round-to-nearest is symmetric
+        # under negation, so -D_i @ x equals -(D_i @ x) up to the sign of an
+        # exact zero, which expit and logaddexp ignore. The gradient keeps
+        # its final negation: there the sign of a zero would show.
+        # ndarray.dot skips np.dot's dispatch, Python floats skip numpy
+        # scalars, and zero arrays skip converting a 0.0 operand per call.
+        self._neg = tuple(-self._design)
+        self._design_t = tuple(d.T for d in self._design)
+        self._l1 = self.lam_reg / self.n_nodes
+        self._ball = self.ball_sq.tolist()
+        self._vmax = self.v_bound.tolist()
+        self._zero_s = np.zeros(self.n_samples)
+        self._zero_w = np.zeros(self.n_features)
 
     def node_value(self, i, x):
-        u = self._design[i] @ x
-        loss = np.logaddexp(0.0, -u).sum()
-        return float(loss + (self.lam_reg / self.n_nodes)
-                     * np.abs(x[:-1]).sum())
+        loss = np.add.reduce(np.logaddexp(self._zero_s, self._neg[i].dot(x)))
+        return float(loss + self._l1 * np.add.reduce(np.abs(x[:-1])))
 
     def node_subgradient(self, i, x):
-        u = self._design[i] @ x
-        g = -(self._design[i].T @ expit(-u))
+        g = -self._design_t[i].dot(expit(self._neg[i].dot(x)))
         # 0 is the chosen subdifferential element at the l1 kink.
-        g[:-1] += (self.lam_reg / self.n_nodes) * np.sign(x[:-1])
+        g[:-1] += self._l1 * np.sign(x[:-1])
         return g
 
     def node_project(self, i, x):
-        out = np.asarray(x, dtype=float).copy()
-        w = out[:-1]
-        nrm_sq = float(w @ w)
-        if nrm_sq > self.ball_sq[i]:
-            out[:-1] = w * np.sqrt(self.ball_sq[i] / nrm_sq)
-        out[-1] = np.clip(out[-1], -self.v_bound[i], self.v_bound[i])
+        out = np.array(x, dtype=float)
+        self._project_into(i, out)
         return out
+
+    def _project_into(self, i, out):
+        """Project ``out`` onto the node's ball times interval, in place."""
+        w = out[:-1]
+        nrm_sq = w.dot(w)
+        ball = self._ball[i]
+        if nrm_sq > ball:
+            w *= math.sqrt(ball / nrm_sq)
+        vmax = self._vmax[i]
+        v = out[-1]
+        if v > vmax:
+            out[-1] = vmax
+        elif v < -vmax:
+            out[-1] = -vmax
 
     composite = True
 
     def node_smooth_gradient(self, i, x):
-        u = self._design[i] @ x
-        return -(self._design[i].T @ expit(-u))
+        return -self._design_t[i].dot(expit(self._neg[i].dot(x)))
 
     def node_smooth_lipschitz(self, i):
         return float(self._lip[i])
@@ -256,10 +282,14 @@ class LogRegInstance(ProblemInstance):
     def node_prox(self, i, u, step):
         # soft-threshold the weights, then project; scaling a thresholded
         # vector radially solves the joint l1 + ball prox exactly
-        out = np.asarray(u, dtype=float).copy()
-        thr = step * self.lam_reg / self.n_nodes
-        out[:-1] = np.sign(out[:-1]) * np.maximum(np.abs(out[:-1]) - thr, 0.0)
-        return self.node_project(i, out)
+        out = np.array(u, dtype=float)
+        w = out[:-1]
+        shrunk = np.abs(w)
+        shrunk -= step * self.lam_reg / self.n_nodes
+        np.maximum(shrunk, self._zero_w, out=shrunk)
+        np.multiply(np.sign(w), shrunk, out=w)
+        self._project_into(i, out)
+        return out
 
     def global_subgradient(self, x):
         design = self._design.reshape(-1, self.dim)
@@ -302,40 +332,43 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
     lip = 0.25 * np.linalg.norm(design, 2) ** 2
     step = 1.0 / max(lip, 1e-12)
 
+    # Same calls as the node callbacks: ndarray.dot, math.sqrt and the
+    # iterates kept by reference (prox returns fresh arrays).
     def smooth_grad(z):
-        return -(design.T @ expit(-(design @ z)))
+        return -design.T.dot(expit(-design.dot(z)))
 
     def objective(z):
-        u = design @ z
-        return float(np.logaddexp(0.0, -u).sum() + lam * np.abs(z[:n_w]).sum())
+        return float(np.add.reduce(np.logaddexp(0.0, -design.dot(z)))
+                     + lam * np.add.reduce(np.abs(z[:n_w])))
 
     def prox(u):
         z = u.copy()
         w = np.sign(z[:n_w]) * np.maximum(np.abs(z[:n_w]) - step * lam, 0.0)
         if ball_sq is not None:
-            nrm_sq = float(w @ w)
+            nrm_sq = w.dot(w)
             if nrm_sq > ball_sq:
-                w *= np.sqrt(ball_sq / nrm_sq)
+                w *= math.sqrt(ball_sq / nrm_sq)
         z[:n_w] = w
         if v_bound is not None:
             z[n_w:] = np.clip(z[n_w:], -v_bound, v_bound)
         return z
 
     z = prox(np.zeros(dim))
-    z_prev = z.copy()
+    d = z - z  # the last step taken; the first step has no momentum
     t_acc = 1.0
-    best_z, best_val = z.copy(), objective(z)
+    best_z, best_val = z, objective(z)
     quiet = 0
     for _ in range(max_iter):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
-        y = z + ((t_acc - 1.0) / t_next) * (z - z_prev)
-        z_prev = z
-        z = prox(y - step * smooth_grad(y))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc ** 2))
+        y = z + ((t_acc - 1.0) / t_next) * d
+        z_new = prox(y - step * smooth_grad(y))
+        d = z_new - z
+        z = z_new
         t_acc = t_next
         val = objective(z)
         if val < best_val:
-            best_val, best_z = val, z.copy()
-        if np.linalg.norm(z - z_prev) <= tol * (1.0 + np.linalg.norm(z)):
+            best_val, best_z = val, z
+        if math.sqrt(d.dot(d)) <= tol * (1.0 + math.sqrt(z.dot(z))):
             quiet += 1
             if quiet >= 10:
                 break

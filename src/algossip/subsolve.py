@@ -9,6 +9,7 @@ step on the block objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ class XSubproblem:
 
     def objective(self, x: np.ndarray) -> float:
         return (self.problem.node_value(self.node, x)
-                + float(self.linear @ x)
-                + 0.5 * self.quad_weight * float(x @ x))
+                + float(self.linear.dot(x))
+                + 0.5 * self.quad_weight * float(x.dot(x)))
 
     def subgradient(self, x: np.ndarray) -> np.ndarray:
         return (self.problem.node_subgradient(self.node, x)
@@ -77,53 +78,66 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
         return _solve_composite(sub, inner_budget, inner_tol, warm_start,
                                 counters)
 
-    x = np.asarray(warm_start, dtype=float).copy()
-    best_x, best_f = x.copy(), sub.objective(x)
+    # Iterates are fresh arrays that are never written in place, so the
+    # best one is kept by reference and copied once on return; the flop
+    # counter is advanced once per solve.
+    x = np.array(warm_start, dtype=float)
+    best_x, best_f = x, sub.objective(x)
     c0 = 1.0 / (sub.quad_weight + 1.0)
-    per_iter = (prob.subgrad_flops(i) + prob.value_flops(i) + 6 * prob.dim)
+    iters = 0
     for k in range(1, inner_budget + 1):
         g = sub.subgradient(x)
-        x_new = prob.node_project(i, x - (c0 / np.sqrt(k)) * g)
+        x_new = prob.node_project(i, x - (c0 / math.sqrt(k)) * g)
         f_new = sub.objective(x_new)
         if f_new < best_f:
-            best_f, best_x = f_new, x_new.copy()
-        moved = float(np.linalg.norm(x_new - x))
+            best_f, best_x = f_new, x_new
+        d = x_new - x
         x = x_new
-        if counters is not None:
-            counters.flops += per_iter
-        if inner_tol is not None and moved <= inner_tol:
+        iters += 1
+        if inner_tol is not None and math.sqrt(d.dot(d)) <= inner_tol:
             break
-    return best_x
+    if counters is not None:
+        counters.flops += iters * (prob.subgrad_flops(i) + prob.value_flops(i)
+                                   + 6 * prob.dim)
+    return best_x.copy()
 
 
 def _solve_composite(sub: XSubproblem, inner_budget: int,
                      inner_tol: float | None, warm_start: np.ndarray,
                      counters) -> np.ndarray:
-    """Accelerated proximal gradient on the node block, warm started."""
+    """Accelerated proximal gradient on the node block, warm started.
+
+    Bookkeeping as in :func:`solve_x_block`'s subgradient loop."""
     prob, i = sub.problem, sub.node
-    lip = prob.node_smooth_lipschitz(i) + sub.quad_weight
-    step = 1.0 / max(lip, 1e-12)
-    x = np.asarray(warm_start, dtype=float).copy()
-    x_prev = x.copy()
+    smooth_grad, prox, objective = (prob.node_smooth_gradient, prob.node_prox,
+                                    sub.objective)
+    linear, q = sub.linear, sub.quad_weight
+    step = 1.0 / max(prob.node_smooth_lipschitz(i) + q, 1e-12)
+    # 0-d arrays: numpy would convert a float operand on every call
+    q_arr, step_arr = np.array(q), np.array(step)
+    x = np.array(warm_start, dtype=float)
+    d = x - x  # the last step taken; the first step has no momentum
     t_acc = 1.0
-    best_x, best_f = x.copy(), sub.objective(x)
-    per_iter = (prob.subgrad_flops(i) + prob.value_flops(i) + 8 * prob.dim)
+    best_x, best_f = x, objective(x)
+    iters = 0
     for _ in range(inner_budget):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc ** 2))
-        y = x + ((t_acc - 1.0) / t_next) * (x - x_prev)
-        grad = (prob.node_smooth_gradient(i, y) + sub.linear
-                + sub.quad_weight * y)
-        x_prev = x
-        x = prob.node_prox(i, y - step * grad, step)
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc ** 2))
+        y = x + ((t_acc - 1.0) / t_next) * d
+        grad = smooth_grad(i, y) + linear + q_arr * y
+        x_new = prox(i, y - step_arr * grad, step)
+        d = x_new - x
+        x = x_new
         t_acc = t_next
-        f = sub.objective(x)
+        iters += 1
+        f = objective(x)
         if f < best_f:
-            best_f, best_x = f, x.copy()
-        if counters is not None:
-            counters.flops += per_iter
-        if inner_tol is not None and np.linalg.norm(x - x_prev) <= inner_tol:
+            best_f, best_x = f, x
+        if inner_tol is not None and math.sqrt(d.dot(d)) <= inner_tol:
             break
-    return best_x
+    if counters is not None:
+        counters.flops += iters * (prob.subgrad_flops(i) + prob.value_flops(i)
+                                   + 8 * prob.dim)
+    return best_x.copy()
 
 
 def y_closed_form_peredge(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,

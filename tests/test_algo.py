@@ -9,7 +9,8 @@ from algossip.algo import (ALBGState, ALGState, Counters, PenaltySchedule,
                            inner_step_mg, lagrangian_eval, make_state,
                            penalty_at, run_inner, run_outer, step_bg,
                            update_adaptive)
-from algossip.errors import ConfigError, DomainError, KindError
+from algossip.errors import ConfigError, DomainError, KindError, \
+    NumericError
 from algossip.events import (ClockModel, Event, EventKind, Variant,
                              event_distribution)
 from algossip.graph import FailureModel, Supergraph
@@ -456,6 +457,23 @@ class TestRunOuter:
                                k_inner=10, seed=0)
         assert len(log.rows) == 1
         assert log.rows[0].t == 0 and log.rows[0].k == 0
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_non_finite_estimate_names_the_slot(self, ring4_graph, variant,
+                                                monkeypatch):
+        from algossip import algo
+
+        def runaway(*args, **kwargs):
+            return np.full(2, np.inf)
+
+        # no checkpoint inside a slot: only the end-of-slot check can fire
+        monkeypatch.setattr(algo, "solve_x_block", runaway)
+        monkeypatch.setattr(algo, "solve_bg_block", runaway)
+        inst = QuadConsensusInstance(np.zeros((4, 2)))
+        with pytest.raises(NumericError, match=r"slot 0 \(k=30\)"), \
+                np.errstate(invalid="ignore"):
+            run_outer(inst, ring4_graph, variant, PenaltySchedule.fixed(1.0),
+                      t_outer=3, k_inner=30, seed=0, checkpoint_every=0)
 
     def test_broadcast_variant_converges_on_ring(self, ring4_graph):
         rng = np.random.default_rng(0)

@@ -8,7 +8,7 @@ import pytest
 from algossip import harness
 from algossip.cli import main as cli_main
 from algossip.errors import ConfigError, MismatchError
-from algossip.metrics import MetricsLog, MetricsRow
+from algossip.metrics import MetricsLog, MetricsRow, write_atomic
 from algossip.problem import err_f
 
 QUAD_CONFIG = """
@@ -259,6 +259,64 @@ class TestOracle:
         assert list(tmp_path.iterdir()) == [path]
 
 
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_atomic(path, lambda fh: fh.write("old\n"))
+
+        def half_then_fail(fh):
+            fh.write("new, cut short")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, half_then_fail)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_trace_write_keeps_previous_trace(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "trace.csv"
+        log = MetricsLog()
+        for k in range(4):
+            log.append(MetricsRow(0, k, k, k, 1.0 / (k + 1), 0.0, 0.0, True))
+        log.to_csv(path)
+        before = path.read_bytes()
+        longer = MetricsLog()
+        for row in log.rows + log.rows[-1:]:
+            longer.append(row)
+        lines = MetricsRow.to_csv_line
+        calls = []
+
+        def fail_on_third(row):
+            calls.append(row)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return lines(row)
+
+        monkeypatch.setattr(MetricsRow, "to_csv_line", fail_on_third)
+        with pytest.raises(OSError):
+            longer.to_csv(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_run_keeps_previous_outputs(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        harness.run(str(cfg), out_dir=str(out))
+        names = ("run_manifest.json", "run_state.txt")
+        before = {n: (out / n).read_bytes() for n in names}
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        # another seed rewrites every output; the manifest write fails
+        monkeypatch.setattr(harness.json, "dump", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run(str(cfg), out_dir=str(out), seed=1)
+        assert {n: (out / n).read_bytes() for n in names} == before
+        assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+
 class TestCompare:
     def test_single_config_degenerate_table(self, tmp_path):
         table = harness.compare([write_config(tmp_path)], [1e-2])
@@ -339,22 +397,34 @@ class TestCLI:
         bad = write_config(tmp_path, body="[problem]\nkind = quad\n")
         assert cli_main(["run", "--config", str(bad)]) == 2
 
-    @pytest.mark.parametrize("old,new,args", [
-        ("schedule_params = 1.3,1", "schedule_params = 1.3,x", ["run"]),
-        ("schedule = power\nschedule_params = 1.3,1",
-         "schedule = fixed\nschedule_params = -1", ["run"]),
-        ("name = alg", "name = alg\ninner_budget = 0", ["run"]),
-        ("radius = 0.9", "radius = 0.01", ["run"]),
-        ("failures = always_on", "failures = uniform\nfailure_p = 1.5",
+    @pytest.mark.parametrize("edits,args", [
+        ([("schedule_params = 1.3,1", "schedule_params = 1.3,x")], ["run"]),
+        ([("schedule = power\nschedule_params = 1.3,1",
+           "schedule = fixed\nschedule_params = -1")], ["run"]),
+        ([("name = alg", "name = alg\ninner_budget = 0")], ["run"]),
+        ([("radius = 0.9", "radius = 0.01")], ["run"]),
+        ([("failures = always_on", "failures = uniform\nfailure_p = 1.5")],
          ["run"]),
-        ("", "", ["sweep", "--seeds", "x..3"]),
+        ([], ["sweep", "--seeds", "x..3"]),
+        ([("targets = 0; 1; 2; 3", "targets = 0; a; 2; 3")], ["run"]),
+        ([("kind = quad", "kind = file\nfile = {tmp}/missing.txt")],
+         ["run"]),
+        ([("radius = 0.9\nseed = 2\nfailures = always_on",
+           "file = {tmp}/missing.txt")], ["run"]),
+        ([("t_outer = 2", "t_outer = -3")], ["run"]),
+        ([("name = alg", "name = ps\nalpha = 0.01"),
+          ("t_outer = 2", "t_outer = -3")], ["run"]),
+        ([("k_inner = 120", "k_inner = -5")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
-            "failure_p", "seeds"])
-    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, old,
-                                             new, args):
+            "failure_p", "seeds", "targets", "problem_file", "graph_file",
+            "negative_t_outer", "ps_negative_t_outer", "negative_k_inner"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
+                                             args):
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
-        assert old in body
-        cfg = write_config(tmp_path, body=body.replace(old, new))
+        for old, new in edits:
+            assert old in body
+            body = body.replace(old, new.format(tmp=tmp_path))
+        cfg = write_config(tmp_path, body=body)
         out = tmp_path / "out"
         assert cli_main(args[:1] + ["--config", str(cfg), "--out", str(out)]
                         + args[1:]) == 2

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from algossip.errors import NonConvergence
 from algossip.problem import (LogRegInstance, QuadConsensusInstance,
@@ -256,3 +259,130 @@ class TestSerialization:
         np.testing.assert_array_equal(back.v_bound, inst.v_bound)
         assert back.meta == inst.meta
         assert instance_text(back) == instance_text(inst)
+
+
+# --------------------------------------------------------------------------
+# The logistic-regression callbacks against their textbook expressions
+# --------------------------------------------------------------------------
+# The callbacks are written for speed on tiny arrays; these references are
+# the plain formulas they replace, and the results must agree bit for bit.
+
+def textbook_design(inst, i):
+    ones = np.ones((inst.n_samples, 1))
+    return inst.labels[i][:, None] * np.concatenate([inst.features[i], ones],
+                                                    axis=1)
+
+
+def textbook_value(inst, i, x):
+    d = textbook_design(inst, i)
+    return float(np.logaddexp(0.0, -(d @ x)).sum()
+                 + (inst.lam_reg / inst.n_nodes) * np.abs(x[:-1]).sum())
+
+
+def textbook_smooth_gradient(inst, i, x):
+    d = textbook_design(inst, i)
+    return -(d.T @ expit(-(d @ x)))
+
+
+def textbook_subgradient(inst, i, x):
+    g = textbook_smooth_gradient(inst, i, x)
+    g[:-1] += (inst.lam_reg / inst.n_nodes) * np.sign(x[:-1])
+    return g
+
+
+def textbook_project(inst, i, x):
+    out = np.asarray(x, dtype=float).copy()
+    w = out[:-1]
+    nrm_sq = float(w @ w)
+    if nrm_sq > inst.ball_sq[i]:
+        out[:-1] = w * np.sqrt(inst.ball_sq[i] / nrm_sq)
+    out[-1] = np.clip(out[-1], -inst.v_bound[i], inst.v_bound[i])
+    return out
+
+
+def textbook_prox(inst, i, u, step):
+    out = np.asarray(u, dtype=float).copy()
+    thr = step * inst.lam_reg / inst.n_nodes
+    out[:-1] = np.sign(out[:-1]) * np.maximum(np.abs(out[:-1]) - thr, 0.0)
+    return textbook_project(inst, i, out)
+
+
+def sparse_instance():
+    """Sparse features (whole zero columns, so some products sum to an
+    exact zero) and small radii, so projections are active."""
+    rng = np.random.default_rng(31)
+    features = rng.normal(size=(3, 4, 5))
+    features[rng.random(features.shape) < 0.5] = 0.0
+    features[1, :, 2] = 0.0
+    labels = rng.choice([-1.0, 1.0], size=(3, 4))
+    return LogRegInstance(features, labels, 0.7, ball_sq=[0.5, 2.0, 0.05],
+                          v_bound=[0.3, 1.0, 0.1])
+
+
+SPARSE = sparse_instance()
+ENTRY = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def callback_inputs(draw):
+    """Node, point, prox step and prox input: the point may lie in or
+    outside the ball and interval and may have exact zeros of either sign;
+    the prox input puts some weights exactly on the threshold."""
+    i = draw(st.integers(0, SPARSE.n_nodes - 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = np.array(draw(st.lists(ENTRY, min_size=SPARSE.dim,
+                               max_size=SPARSE.dim))) * scale
+    step = draw(st.floats(1e-3, 2.0))
+    thr = step * SPARSE.lam_reg / SPARSE.n_nodes
+    u = x.copy()
+    kinks = draw(st.lists(st.sampled_from([None, thr, -thr]),
+                          min_size=SPARSE.dim - 1, max_size=SPARSE.dim - 1))
+    for c, kink in enumerate(kinks):
+        if kink is not None:
+            u[c] = kink
+    return i, x, step, u
+
+
+def same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+class TestLogRegCallbacksBitForBit:
+    @settings(max_examples=300, deadline=None)
+    @given(args=callback_inputs(), as_list=st.booleans())
+    def test_callbacks_match_textbook_expressions(self, args, as_list):
+        i, x, step, u = args
+        if as_list:
+            x, u = x.tolist(), u.tolist()
+        pairs = [
+            (SPARSE.node_value(i, x), textbook_value(SPARSE, i, x)),
+            (SPARSE.node_smooth_gradient(i, x),
+             textbook_smooth_gradient(SPARSE, i, x)),
+            (SPARSE.node_subgradient(i, x),
+             textbook_subgradient(SPARSE, i, x)),
+            (SPARSE.node_project(i, x), textbook_project(SPARSE, i, x)),
+            (SPARSE.node_prox(i, u, step), textbook_prox(SPARSE, i, u, step)),
+        ]
+        for got, want in pairs:
+            assert same_bits(got, want), (got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(args=callback_inputs())
+    def test_callbacks_leave_input_alone_and_return_fresh_arrays(self, args):
+        i, x, step, u = args
+        calls = [
+            lambda v: SPARSE.node_smooth_gradient(i, v),
+            lambda v: SPARSE.node_subgradient(i, v),
+            lambda v: SPARSE.node_project(i, v),
+            lambda v: SPARSE.node_prox(i, v, step),
+        ]
+        for call in calls:
+            before = x.copy()
+            first, second = call(x), call(x)
+            assert same_bits(x, before)
+            for out in (first, second):
+                assert not np.shares_memory(out, x)
+            assert not np.shares_memory(first, second)
+        before = x.copy()
+        SPARSE.node_value(i, x)
+        assert same_bits(x, before)

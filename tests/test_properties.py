@@ -10,7 +10,7 @@ from algossip.algo import (Counters, PenaltySchedule, Variant,
                            make_state, run_inner, run_outer)
 from algossip.events import ClockModel, event_distribution
 from algossip.graph import FailureModel, build_geometric
-from algossip.problem import QuadConsensusInstance
+from algossip.problem import LogRegInstance, QuadConsensusInstance
 
 GRAPHS = st.builds(build_geometric, n=st.integers(2, 7),
                    radius=st.floats(0.5, 0.9), seed=st.integers(0, 10_000))
@@ -24,6 +24,17 @@ def instance(graph, seed):
     targets = rng.normal(size=(graph.n, dim))
     return QuadConsensusInstance(targets, lo=np.full_like(targets, -0.8),
                                  hi=np.full_like(targets, 0.8))
+
+
+def logreg_instance(graph, seed):
+    """Three samples per node and small radii, so the ball and interval
+    constraints are active and the FISTA node solves run."""
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(graph.n, 3, int(rng.integers(1, 4))))
+    labels = rng.choice([-1.0, 1.0], size=(graph.n, 3))
+    return LogRegInstance(features, labels, 0.3,
+                          ball_sq=rng.uniform(0.01, 0.5, graph.n),
+                          v_bound=rng.uniform(0.05, 0.5, graph.n))
 
 
 def penalty(variant, graph, rho):
@@ -125,3 +136,29 @@ def test_counters_never_decrease(graph, variant, seed, p):
     for col in ("k", "transmissions", "flops"):
         values = log.column(col)
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(list(Variant)), seed=SEEDS,
+       rho=st.floats(0.2, 4.0), p=st.floats(0.3, 1.0))
+def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
+    failures = failures_for(variant, graph, p)
+    dist = event_distribution(graph, failures, ClockModel(variant))
+    for inst in (instance(graph, seed), logreg_instance(graph, seed)):
+        state = make_state(variant, inst, graph)
+        rng = np.random.default_rng(seed)
+
+        def every_node_feasible():
+            assert all(inst.node_feasible(i, state.x[i])
+                       for i in range(graph.n))
+
+        every_node_feasible()
+        for t in range(2):
+            pen = penalty(variant, graph, rho * (1 + t))
+            run_inner(state, variant, graph, failures, dist, pen, rng,
+                      Counters(), 100, inner_budget=5,
+                      on_event=every_node_feasible)
+            if variant is Variant.ALBG:
+                dual_update_bg(state, pen)
+            else:
+                dual_update_alg(state, pen)
