@@ -13,7 +13,7 @@ import sys
 
 from . import harness
 from .errors import ConfigError, MismatchError, NumericError
-from .metrics import MetricsLog
+from .metrics import MetricsLog, write_atomic
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -72,8 +72,7 @@ def _cmd_extract(args) -> int:
     lines = [f"{getattr(r, args.x)} {r.err_f:.17g}" for r in log.rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_atomic(args.out, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
     return 0

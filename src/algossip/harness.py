@@ -319,6 +319,9 @@ def run(config: RunConfig | str, out_dir: str | None = None,
         raise ConfigError(f"[run] t_outer must be nonnegative, got {t_outer}")
     checkpoint = _as_int("run", "checkpoint",
                          config.get("run", "checkpoint", "100"))
+    if checkpoint < 0:
+        raise ConfigError(f"[run] checkpoint must be nonnegative, got "
+                          f"{checkpoint}")
     # Every algorithm parameter is checked before the reference solve.
     if algo == "ps":
         alpha = _as_float("algo", "alpha", _require(config, "algo", "alpha"))

@@ -316,6 +316,32 @@ class TestAtomicWrites:
         assert {n: (out / n).read_bytes() for n in names} == before
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
+    def test_failed_extract_keeps_previous_file(self, tmp_path, capsys,
+                                                monkeypatch):
+        cfg = write_config(tmp_path)
+        harness.run(str(cfg), out_dir=str(tmp_path / "out"))
+        trace = str(tmp_path / "out" / "run_trace.csv")
+        plot_dir = tmp_path / "plot"
+        plot_dir.mkdir()
+        plot = plot_dir / "err.txt"
+        assert cli_main(["extract", "--trace", trace, "--out",
+                         str(plot)]) == 0
+        before = plot.read_bytes()
+        # --out holds exactly what standard output would
+        assert cli_main(["extract", "--trace", trace]) == 0
+        assert capsys.readouterr().out.encode() == before
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        # different plot data is written out, then the run is cut short
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["extract", "--trace", trace, "--x", "flops",
+                      "--out", str(plot)])
+        assert plot.read_bytes() == before
+        assert list(plot_dir.iterdir()) == [plot]
+
 
 class TestCompare:
     def test_single_config_degenerate_table(self, tmp_path):
@@ -415,9 +441,13 @@ class TestCLI:
         ([("name = alg", "name = ps\nalpha = 0.01"),
           ("t_outer = 2", "t_outer = -3")], ["run"]),
         ([("k_inner = 120", "k_inner = -5")], ["run"]),
+        ([("checkpoint = 60", "checkpoint = -5")], ["run"]),
+        ([("name = alg", "name = ps\nalpha = 0.01"),
+          ("checkpoint = 60", "checkpoint = -5")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
-            "negative_t_outer", "ps_negative_t_outer", "negative_k_inner"])
+            "negative_t_outer", "ps_negative_t_outer", "negative_k_inner",
+            "negative_checkpoint", "ps_negative_checkpoint"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")

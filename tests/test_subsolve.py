@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -134,6 +136,24 @@ def scalar_quad(target, lo=None, hi=None, weight=1.0):
                                  weights=[weight])
 
 
+def small_logreg():
+    """A one-node logreg block with a ball and intercept bound, and the
+    generator that drew it."""
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(1, 4, 2))
+    labels = np.where(rng.random((1, 4)) < 0.5, -1.0, 1.0)
+    return LogRegInstance(features, labels, 0.3, [4.0], [2.0]), rng
+
+
+def check_safeguarded(prob, sub, x, warm, kept):
+    """The node solver's contract: a feasible fresh array no worse than the
+    warm start, which is left as it was."""
+    np.testing.assert_array_equal(warm, kept)
+    assert not np.shares_memory(x, warm)
+    assert prob.node_feasible(0, x)
+    assert sub.objective(x) <= sub.objective(warm)
+
+
 class TestSolveXBlock:
     def test_unconstrained_stationary_point(self):
         # f(x) = (x-1)^2 with linear -2x and (2/2) x^2: stationarity 4x = 4
@@ -167,17 +187,68 @@ class TestSolveXBlock:
             np.testing.assert_allclose(x, (2 * a - c) / (2 + q), atol=1e-10)
 
     def test_monotone_safeguard_on_inexact_solves(self):
-        rng = np.random.default_rng(3)
-        features = rng.normal(size=(1, 4, 2))
-        labels = np.where(rng.random((1, 4)) < 0.5, -1.0, 1.0)
-        prob = LogRegInstance(features, labels, 0.3, [4.0], [2.0])
+        # Starts at a converged minimizer too: from there a few steps can
+        # come out worse by rounding alone, which the safeguard must catch.
+        prob, rng = small_logreg()
         for trial in range(25):
-            c = rng.normal(size=3)
-            q = float(rng.uniform(0.0, 3.0))
+            q = 0.0 if trial % 5 == 0 else float(rng.uniform(0.0, 3.0))
             warm = prob.node_project(0, rng.normal(size=3))
+            lam_bar, x_bar = rng.normal(size=(2, 3))
+            degree = int(rng.integers(1, 4))
+            rho = q / degree
+            x_sub = XSubproblem(prob, 0, rng.normal(size=3), q)
+            bg_sub = XSubproblem(prob, 0, lam_bar - rho * x_bar,
+                                 rho * degree)
+
+            def x_solve(budget, start, tol=None):
+                return solve_x_block(x_sub, budget, tol, start)
+
+            def bg_solve(budget, start, tol=None):
+                return solve_bg_block(prob, 0, lam_bar, x_bar, degree, rho,
+                                      budget, tol, start)
+
+            for sub, solve in ((x_sub, x_solve), (bg_sub, bg_solve)):
+                star = solve(500, warm, 0.0)
+                for budget, start in itertools.product((1, 2, 7, 25),
+                                                       (warm, star)):
+                    kept = start.copy()
+                    x = solve(budget, start)
+                    check_safeguarded(prob, sub, x, start, kept)
+
+    @pytest.mark.parametrize("budget", [1, 3, 50])
+    def test_composite_solve_evaluates_objective_twice(self, budget,
+                                                       monkeypatch):
+        prob, rng = small_logreg()
+        calls = []
+        value = prob.node_value
+
+        def counted(i, x):
+            calls.append(i)
+            return value(i, x)
+
+        monkeypatch.setattr(prob, "node_value", counted)
+        warm = prob.node_project(0, rng.normal(size=3))
+        sub = XSubproblem(prob, 0, rng.normal(size=3), 1.5)
+        solve_x_block(sub, inner_budget=budget, warm_start=warm)
+        assert len(calls) == 2
+        calls.clear()
+        solve_bg_block(prob, 0, rng.normal(size=3), rng.normal(size=3), 2,
+                       0.75, inner_budget=budget, warm_start=warm)
+        assert len(calls) == 2
+
+    def test_composite_solve_reaches_stationary_point(self):
+        prob, rng = small_logreg()
+        for q in (0.0, 0.4, 3.0):
+            c = rng.normal(size=3)
             sub = XSubproblem(prob, 0, c, q)
-            x = solve_x_block(sub, inner_budget=7, warm_start=warm)
-            assert sub.objective(x) <= sub.objective(warm)
+            x = solve_x_block(sub, inner_budget=2000, inner_tol=1e-13,
+                              warm_start=prob.node_project(
+                                  0, rng.normal(size=3)))
+            # x is a fixed point of the prox-gradient map
+            step = 1.0 / (prob.node_smooth_lipschitz(0) + q)
+            grad = prob.node_smooth_gradient(0, x) + c + q * x
+            np.testing.assert_allclose(
+                prob.node_prox(0, x - step * grad, step), x, atol=1e-9)
 
     def test_optimal_warm_start_returned_unchanged(self):
         prob = scalar_quad(1.0)
