@@ -15,9 +15,8 @@ from .baseline import (PSState, metropolis_weights, realize_symmetric,
 from .errors import (AlgossipError, ConfigError, ConnectivityFailure,
                      DomainError, KindError, MismatchError, NonConvergence,
                      NumericError)
-from .events import (ClockModel, Event, EventDistribution, EventKind,
-                     Variant, event_distribution, sample_event,
-                     sample_mg_event)
+from .events import (Event, EventDistribution, EventKind, Variant,
+                     event_distribution, sample_event, sample_mg_event)
 from .graph import (FailureModel, Supergraph, build_geometric, failure_prob,
                     load_network, save_network)
 from .metrics import MetricsLog, MetricsRow

@@ -19,13 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, KindError, NumericError
-from .events import (ClockModel, Event, EventDistribution, EventKind, Variant,
+from .events import (Event, EventDistribution, EventKind, Variant,
                      event_distribution, sample_event, sample_mg_event)
 from .graph import FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
 from .problem import ProblemInstance, err_f
 from .subsolve import XSubproblem, solve_bg_block, solve_x_block, \
     y_closed_form_peredge
+
+
+FEAS_TOL = 1e-9  # feasibility tolerance of every checkpoint
 
 
 def default_inner_events(graph: Supergraph) -> int:
@@ -137,11 +140,12 @@ class ALGState:
     """State of the pairwise / multi-neighbor gossip variants, in the
     arc-id layout of ``graph``.
 
-    Node ``i`` owns its estimate ``x[i]`` and, for each outgoing arc
-    ``a = graph.arc_id[(i, j)]``, the link variable ``y[a]`` and the duals
-    ``mu[a]``, ``lam[a]``; the receiver ``j`` holds ``y_recv[a]``, its copy
-    of the last value of ``y[a]`` it received. ``stale[a]`` accumulates how
-    far ``y[a]`` has drifted from that copy. All duals start at zero.
+    Node ``i`` owns its estimate ``x[i]`` and, for each outgoing arc id
+    ``a`` (``graph.arc_src[a] == i``), the link variable ``y[a]`` and the
+    duals ``mu[a]``, ``lam[a]``; the receiver ``j`` holds ``y_recv[a]``,
+    its copy of the last value of ``y[a]`` it received. ``stale[a]``
+    accumulates how far ``y[a]`` has drifted from that copy. All duals
+    start at zero.
 
     Penalties come as a ``(2, num_arcs)`` array: row 0 holds each arc's
     tie-constraint (``mu``) penalty, row 1 its link-constraint (``lam``)
@@ -340,8 +344,7 @@ def inner_step_alg(state: ALGState, ev: Event, pen,
                                inner_tol, counters)
     if ev.kind is EventKind.Y_TRANSFER:
         counters.transmissions += 1
-        return _deliver_and_update(state, state.graph.arc_id[ev.arc],
-                                   rho_mu, rho_lam, counters)
+        return _deliver_and_update(state, ev.arc, rho_mu, rho_lam, counters)
     if ev.kind is EventKind.VOID:
         counters.transmissions += 1
         return 0.0
@@ -368,11 +371,10 @@ def inner_step_mg(state: ALGState, ev: Event, pen,
             raise KindError("broadcast tick must be resolved into receivers "
                             "before stepping (see sample_mg_event)")
         counters.transmissions += int(state.graph.degrees[ev.node])
-        arc_id = state.graph.arc_id
         moved = 0.0
-        for j in ev.receivers:
-            moved = max(moved, _deliver_and_update(
-                state, arc_id[(ev.node, j)], rho_mu, rho_lam, counters))
+        for a in ev.receivers:
+            moved = max(moved, _deliver_and_update(state, a, rho_mu, rho_lam,
+                                                   counters))
         return moved
     if ev.kind is EventKind.VOID:
         counters.transmissions += int(state.graph.degrees[ev.node])
@@ -532,11 +534,10 @@ def make_state(variant: Variant, problem: ProblemInstance,
 def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
               schedule: PenaltySchedule, t_outer: int, k_inner: int,
               seed: int, failures: FailureModel | None = None,
-              clocks: ClockModel | None = None, fstar: float | None = None,
+              fstar: float | None = None,
               inner_budget: int = 50, inner_tol: float | None = None,
               inner_stop_tol: float | None = None,
-              checkpoint_every: int = 100,
-              feas_tol: float = 1e-9) -> tuple[MetricsLog, object]:
+              checkpoint_every: int = 100) -> tuple[MetricsLog, object]:
     """Full two-time-scale run: alternate the fast-scale sweep and the
     multiplier step ``t_outer`` times, logging metrics at every outer
     boundary and every ``checkpoint_every`` inner events. Deterministic for
@@ -549,24 +550,17 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     variant = Variant(variant)
     if failures is None:
         failures = FailureModel.always_on(graph)
-    if variant is Variant.ALBG and failures.mode != "always_on":
+    if variant is Variant.ALBG and not failures.reliable:
         raise ConfigError("the broadcast variant requires reliable links "
-                          "(always_on failure model)")
-    if variant is Variant.ALMG and not failures.spatially_independent:
-        raise ConfigError("the multi-neighbor variant requires spatially "
-                          "independent link failures")
+                          "(success probability 1 on every arc)")
     if variant is Variant.ALBG and schedule.kind == "adaptive":
         raise ConfigError("per-dual adaptive penalties are not defined for "
                           "the aggregated-dual broadcast variant")
-    if clocks is None:
-        clocks = ClockModel(variant)
-    if clocks.variant is not variant:
-        raise ConfigError("clock model variant does not match the run")
 
     rng = np.random.default_rng(seed)
     counters = Counters()
     state = make_state(variant, problem, graph)
-    dist = event_distribution(graph, failures, clocks)
+    dist = event_distribution(graph, failures, variant)
     log = MetricsLog()
 
     def penalties(t: int):
@@ -584,7 +578,7 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
             flops=counters.flops, err_f=err,
             L_value=lagrangian_eval(state, pen),
             max_dual_gap=state.max_dual_gap(),
-            feasible=problem.all_feasible(state.x, feas_tol),
+            feasible=problem.all_feasible(state.x, FEAS_TOL),
         ))
 
     adaptive = schedule.kind == "adaptive"

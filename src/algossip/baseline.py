@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algo import FEAS_TOL, Counters
 from .errors import NumericError
 from .graph import Edge, FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
@@ -39,11 +40,12 @@ def metropolis_weights(n: int, realized_edges) -> np.ndarray:
 def realize_symmetric(graph: Supergraph, failures: FailureModel,
                       rng: np.random.Generator) -> list[Edge]:
     """One round's undirected edge set under symmetrized failures."""
+    p, fwd = failures.p, graph.edge_fwd
     edges = []
-    for i, j in graph.edges:
-        p = min(failures.success_prob((i, j)), failures.success_prob((j, i)))
-        if p >= 1.0 or rng.random() < p:
-            edges.append((i, j))
+    for e, a, b in zip(graph.edges, fwd.tolist(), graph.arc_rev[fwd].tolist()):
+        q = min(p[a], p[b])
+        if q >= 1.0 or rng.random() < q:
+            edges.append(e)
     return edges
 
 
@@ -87,8 +89,7 @@ def ps_step(state: PSState, realized_edges, problem: ProblemInstance,
 def run_ps(problem: ProblemInstance, graph: Supergraph,
            failures: FailureModel | None, alpha: float, rounds: int,
            seed: int, fstar: float | None = None,
-           checkpoint_every: int = 1,
-           feas_tol: float = 1e-9) -> tuple[MetricsLog, PSState]:
+           checkpoint_every: int = 1) -> tuple[MetricsLog, PSState]:
     """Run the baseline for a fixed number of rounds, logging like the
     gossip runners (slot column = round; no Lagrangian or dual gap)."""
     if alpha <= 0:
@@ -99,11 +100,9 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
     x0 = np.stack([problem.node_project(i, np.zeros(problem.dim))
                    for i in range(graph.n)])
     state = PSState(x=x0, alpha=float(alpha))
-    from .algo import Counters  # local import avoids a cycle
-
     counters = Counters()
     log = MetricsLog()
-    static_edges = list(graph.edges) if failures.mode == "always_on" else None
+    static_edges = list(graph.edges) if failures.reliable else None
 
     def checkpoint():
         if not np.isfinite(state.x).all():
@@ -113,7 +112,7 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
             t=state.k, k=counters.k, transmissions=counters.transmissions,
             flops=counters.flops, err_f=err, L_value=float("nan"),
             max_dual_gap=float("nan"),
-            feasible=problem.all_feasible(state.x, feas_tol),
+            feasible=problem.all_feasible(state.x, FEAS_TOL),
         ))
 
     static_w = (metropolis_weights(graph.n, static_edges)

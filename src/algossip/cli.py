@@ -37,7 +37,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    thresholds = [float(v) for v in args.thresholds.split(",") if v.strip()]
+    try:
+        thresholds = [float(v) for v in args.thresholds.split(",")
+                      if v.strip()]
+    except ValueError:
+        raise ConfigError(f"--thresholds must be a comma list of numbers, "
+                          f"got {args.thresholds!r}") from None
     table = harness.compare(args.configs, thresholds, out_dir=args.out)
     print(f"{'config':<24}{'algo':<8}{'threshold':<12}{'transmissions':<16}k")
     for row in table:
@@ -68,7 +73,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    log = MetricsLog.from_csv(args.trace)
+    try:
+        log = MetricsLog.from_csv(args.trace)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trace {args.trace}: {exc}") from None
     lines = [f"{getattr(r, args.x)} {r.err_f:.17g}" for r in log.rows]
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -18,8 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
-from .graph import Arc, FailureModel, Supergraph
+from .graph import FailureModel, Supergraph
 
 
 class Variant(str, Enum):
@@ -42,50 +41,17 @@ class EventKind(Enum):
 class Event:
     """One fast-scale slot outcome.
 
-    ``node`` identifies the updating/broadcasting node, ``arc`` the directed
-    transfer for pairwise gossip, ``receivers`` the successful subset for a
-    multi-neighbor broadcast. Void events carry the broadcaster's id when the
-    failed attempt originated from a known node (multi-neighbor case).
+    ``node`` identifies the updating/broadcasting node, ``arc`` the arc id
+    of a pairwise transfer, ``receivers`` the ids of the broadcaster's
+    out-arcs that delivered a multi-neighbor broadcast. Void events carry
+    the broadcaster's id when the failed attempt originated from a known
+    node (multi-neighbor case).
     """
 
     kind: EventKind
     node: int | None = None
-    arc: Arc | None = None
+    arc: int | None = None
     receivers: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class ClockModel:
-    """Poisson clock rates per block.
-
-    All rates default to equal (the standard asynchronous model). For the
-    pairwise variant ``y_rates`` aligns with ``graph.arcs``; for the
-    multi-neighbor variant it is per node (one broadcast clock each); the
-    broadcast variant has only ``x_rates``.
-    """
-
-    variant: Variant
-    x_rates: tuple[float, ...] | None = None
-    y_rates: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        for rates in (self.x_rates, self.y_rates):
-            if rates is not None and any(r <= 0 for r in rates):
-                raise ValueError("clock rates must be positive")
-
-    def resolved_x(self, n: int) -> np.ndarray:
-        if self.x_rates is None:
-            return np.ones(n)
-        if len(self.x_rates) != n:
-            raise ConfigError(f"x_rates must have length {n}")
-        return np.asarray(self.x_rates, dtype=float)
-
-    def resolved_y(self, count: int) -> np.ndarray:
-        if self.y_rates is None:
-            return np.ones(count)
-        if len(self.y_rates) != count:
-            raise ConfigError(f"y_rates must have length {count}")
-        return np.asarray(self.y_rates, dtype=float)
 
 
 class EventDistribution:
@@ -102,68 +68,47 @@ class EventDistribution:
         # A list bisects faster than searchsorted on one scalar, with the
         # same index.
         self._cum = np.cumsum(probs).tolist()
-        self._index = {ev: i for i, ev in enumerate(outcomes)}
-
-    def prob(self, event: Event) -> float:
-        """Probability of ``event``; 0 for outcomes not in the support."""
-        i = self._index.get(event)
-        return 0.0 if i is None else float(self.probs[i])
 
     def sample(self, rng: np.random.Generator) -> Event:
         return self.outcomes[bisect.bisect_right(self._cum, rng.random())]
 
 
 def event_distribution(graph: Supergraph, failures: FailureModel,
-                       clocks: ClockModel) -> EventDistribution:
+                       variant: Variant) -> EventDistribution:
     """Distribution of the slot winner for one fast-scale slot.
 
-    Pairwise gossip: each x-clock wins with rate share; a winning y-clock on
-    arc (i, j) yields a successful transfer with probability p_(i,j) and a
-    void slot otherwise (the void outcome is present only when some arc can
+    Every block carries a unit-rate clock. Pairwise gossip: each of the
+    ``n + num_arcs`` clocks wins with equal share; a winning clock on arc
+    ``a`` yields a successful transfer with probability ``p[a]`` and a void
+    slot otherwise (the void outcome is present only when some arc can
     fail). Broadcast variant: one node update per slot, never void.
-    Multi-neighbor variant: the distribution is over clock ticks; broadcast
-    ticks carry ``receivers=None`` and are resolved by
+    Multi-neighbor variant: the distribution is over the ``2n`` clock
+    ticks; broadcast ticks carry ``receivers=None`` and are resolved by
     :func:`sample_mg_event`.
     """
     n = graph.n
-    if clocks.variant is Variant.ALG:
-        xr = clocks.resolved_x(n)
-        yr = clocks.resolved_y(graph.num_arcs)
-        total = xr.sum() + yr.sum()
+    variant = Variant(variant)
+    if variant is Variant.ALG:
+        total = float(n + graph.num_arcs)
         outcomes = [Event(EventKind.X_UPDATE, node=i) for i in range(n)]
-        probs = list(xr / total)
+        probs = [1.0 / total] * n
         void_mass = 0.0
-        for rate, arc in zip(yr, graph.arcs):
-            p = failures.success_prob(arc)
-            outcomes.append(Event(EventKind.Y_TRANSFER, arc=arc))
-            probs.append(rate * p / total)
-            void_mass += rate * (1.0 - p) / total
+        for a, p in enumerate(failures.p):
+            outcomes.append(Event(EventKind.Y_TRANSFER, arc=a))
+            probs.append(p / total)
+            void_mass += (1.0 - p) / total
         if void_mass > 0.0:
             outcomes.append(Event(EventKind.VOID))
             probs.append(void_mass)
         return EventDistribution(tuple(outcomes), probs)
 
-    if clocks.variant is Variant.ALMG:
-        if not failures.spatially_independent:
-            raise ConfigError("multi-neighbor gossip requires spatially "
-                              "independent link failures")
-        xr = clocks.resolved_x(n)
-        yr = clocks.resolved_y(n)
-        total = xr.sum() + yr.sum()
+    if variant is Variant.ALMG:
         outcomes = [Event(EventKind.X_UPDATE, node=i) for i in range(n)]
-        probs = list(xr / total)
-        for i in range(n):
-            outcomes.append(Event(EventKind.MG_BROADCAST, node=i))
-            probs.append(yr[i] / total)
-        return EventDistribution(tuple(outcomes), probs)
+        outcomes += [Event(EventKind.MG_BROADCAST, node=i) for i in range(n)]
+        return EventDistribution(tuple(outcomes), [1.0 / (2 * n)] * (2 * n))
 
-    if clocks.variant is Variant.ALBG:
-        xr = clocks.resolved_x(n)
-        total = xr.sum()
-        outcomes = tuple(Event(EventKind.BG_UPDATE, node=i) for i in range(n))
-        return EventDistribution(outcomes, xr / total)
-
-    raise ConfigError(f"unknown variant {clocks.variant}")
+    outcomes = tuple(Event(EventKind.BG_UPDATE, node=i) for i in range(n))
+    return EventDistribution(outcomes, [1.0 / n] * n)
 
 
 def sample_event(dist: EventDistribution, rng: np.random.Generator) -> Event:
@@ -175,18 +120,17 @@ def sample_mg_event(node: int, graph: Supergraph, failures: FailureModel,
                     rng: np.random.Generator) -> Event:
     """Resolve a multi-neighbor broadcast tick at ``node``.
 
-    Every neighbor receives independently with the arc's success
-    probability; an empty receiver subset maps to a void slot (which still
-    consumed one broadcast attempt). On a connected graph with at least two
-    nodes every node has a neighbor, so a broadcast always has candidates.
+    Every out-arc of ``node`` delivers independently with its success
+    probability, drawn in arc-id order; an empty receiver subset maps to a
+    void slot (which still consumed one broadcast attempt). On a connected
+    graph with at least two nodes every node has a neighbor, so a broadcast
+    always has candidates.
     """
-    if not failures.spatially_independent:
-        raise ConfigError("multi-neighbor gossip requires spatially "
-                          "independent link failures")
+    p, out = failures.p, graph.out_slice[node]
     received = []
-    for j in graph.neighbors[node]:
-        if rng.random() < failures.success_prob((node, j)):
-            received.append(j)
+    for a in range(out.start, out.stop):
+        if rng.random() < p[a]:
+            received.append(a)
     if not received:
         return Event(EventKind.VOID, node=node)
     return Event(EventKind.MG_BROADCAST, node=node, receivers=tuple(received))

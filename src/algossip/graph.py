@@ -9,11 +9,12 @@ probability.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConnectivityFailure, DomainError
+from .metrics import write_atomic
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -174,33 +175,31 @@ def failure_prob(distance: float, radius: float, scale: float) -> float:
 class FailureModel:
     """Per-arc Bernoulli availability, i.i.d. across slots.
 
-    Every arc ``(i, j)`` carries a success probability in (0, 1]; draws for
-    different arcs and different slots are independent. ``mode`` is either
-    ``"independent"`` or ``"always_on"`` (all probabilities exactly 1).
+    ``p[a]`` is the success probability of arc id ``a`` of ``graph``, in
+    (0, 1]; draws for different arcs and different slots are independent.
+    The links are ``reliable`` when every probability is exactly 1.
     """
 
     def __init__(self, graph: Supergraph,
-                 success: float | Mapping[Arc, float] = 1.0,
-                 mode: str = "independent"):
-        if mode not in ("independent", "always_on"):
-            raise ValueError(f"unknown failure mode {mode!r}")
-        if isinstance(success, Mapping):
-            probs = {arc: float(success[arc]) for arc in graph.arcs}
+                 success: float | Sequence[float] = 1.0):
+        if np.ndim(success) == 0:
+            p = (float(success),) * graph.num_arcs
         else:
-            probs = {arc: float(success) for arc in graph.arcs}
-        for arc, p in probs.items():
-            if not (0 < p <= 1):
+            p = tuple(float(v) for v in success)
+            if len(p) != graph.num_arcs:
+                raise ValueError(f"expected {graph.num_arcs} success "
+                                 f"probabilities, got {len(p)}")
+        for arc, pa in zip(graph.arcs, p):
+            if not (0 < pa <= 1):
                 raise ValueError(f"success probability for arc {arc} must be "
-                                 f"in (0, 1], got {p}")
-            if mode == "always_on" and p != 1.0:
-                raise ValueError("always_on mode requires p = 1 on every arc")
+                                 f"in (0, 1], got {pa}")
         self.graph = graph
-        self.mode = mode
-        self._probs = probs
+        self.p = p
+        self.reliable = all(pa == 1.0 for pa in p)
 
     @classmethod
     def always_on(cls, graph: Supergraph) -> "FailureModel":
-        return cls(graph, 1.0, mode="always_on")
+        return cls(graph, 1.0)
 
     @classmethod
     def uniform(cls, graph: Supergraph, p: float) -> "FailureModel":
@@ -210,58 +209,53 @@ class FailureModel:
     def from_distance(cls, graph: Supergraph, radius: float,
                       scale: float) -> "FailureModel":
         """Success probabilities ``1 - scale * d_ij^2 / r^2`` from positions."""
-        probs = {}
-        for i, j in graph.arcs:
-            probs[(i, j)] = 1.0 - failure_prob(graph.edge_distance(i, j),
-                                               radius, scale)
-        return cls(graph, probs)
-
-    @property
-    def spatially_independent(self) -> bool:
-        """Whether draws for different arcs in one slot are independent."""
-        return self.mode in ("independent", "always_on")
-
-    def success_prob(self, arc: Arc) -> float:
-        return self._probs[arc]
+        return cls(graph, [1.0 - failure_prob(graph.edge_distance(i, j),
+                                              radius, scale)
+                           for i, j in graph.arcs])
 
 
 def network_text(graph: Supergraph, failures: FailureModel) -> str:
     """Graph + failure model as text: node count, then one line per edge
     ``i j p_ij p_ji``."""
+    p, fwd = failures.p, graph.edge_fwd
     lines = [f"{graph.n}"]
-    for i, j in graph.edges:
-        pij = failures.success_prob((i, j))
-        pji = failures.success_prob((j, i))
-        lines.append(f"{i} {j} {pij:.17g} {pji:.17g}")
+    for (i, j), a, b in zip(graph.edges, fwd.tolist(),
+                            graph.arc_rev[fwd].tolist()):
+        lines.append(f"{i} {j} {p[a]:.17g} {p[b]:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def save_network(path, graph: Supergraph, failures: FailureModel) -> None:
-    with open(path, "w") as fh:
-        fh.write(network_text(graph, failures))
+    write_atomic(path, lambda fh: fh.write(network_text(graph, failures)))
 
 
 def load_network(path) -> tuple[Supergraph, FailureModel]:
     """Read a network written by :func:`save_network`.
 
-    Positions are not part of the format, so the returned graph has none;
-    the failure mode is ``always_on`` when every probability equals 1.
+    Positions are not part of the format, so the returned graph has none.
+
+    Raises
+    ------
+    ConnectivityFailure
+        If the file's graph is not connected.
     """
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not raw:
         raise ValueError(f"{path}: empty network file")
     n = int(raw[0])
-    edges = []
-    probs: dict[Arc, float] = {}
+    lines = []
     for ln in raw[1:]:
         parts = ln.split()
         if len(parts) != 4:
             raise ValueError(f"{path}: malformed edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        edges.append((i, j))
-        probs[(i, j)] = float(parts[2])
-        probs[(j, i)] = float(parts[3])
-    graph = Supergraph(n, edges)
-    mode = "always_on" if all(p == 1.0 for p in probs.values()) else "independent"
-    return graph, FailureModel(graph, probs if probs else 1.0, mode=mode)
+        lines.append((int(parts[0]), int(parts[1]),
+                      float(parts[2]), float(parts[3])))
+    graph = Supergraph(n, [(i, j) for i, j, _, _ in lines])
+    if not graph.is_connected():
+        raise ConnectivityFailure(f"{path}: the network is not connected")
+    p = [1.0] * graph.num_arcs
+    for i, j, pij, pji in lines:
+        p[graph.arc_id[(i, j)]] = pij
+        p[graph.arc_id[(j, i)]] = pji
+    return graph, FailureModel(graph, p)

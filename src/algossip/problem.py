@@ -20,6 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import NonConvergence
+from .metrics import write_atomic
 
 
 def _fmt(value: float) -> str:
@@ -533,8 +534,7 @@ def instance_text(inst: ProblemInstance) -> str:
 
 def save_instance(path, inst: ProblemInstance) -> None:
     """Serialize an instance to a structured text file."""
-    with open(path, "w") as fh:
-        fh.write(instance_text(inst))
+    write_atomic(path, lambda fh: fh.write(instance_text(inst)))
 
 
 def load_instance(path) -> ProblemInstance:

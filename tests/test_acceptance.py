@@ -17,7 +17,7 @@ from algossip.algo import (Counters, PenaltySchedule, Variant,
                            dual_update_bg, lagrangian_eval, make_state,
                            penalty_at, run_inner, run_outer)
 from algossip.baseline import metropolis_weights, run_ps
-from algossip.events import ClockModel, Variant as EV, event_distribution, \
+from algossip.events import Variant as EV, event_distribution, \
     sample_event
 from algossip.graph import FailureModel, build_geometric
 from algossip.metrics import MetricsLog
@@ -83,7 +83,7 @@ def test_acceptance_1_inner_descent():
         (Variant.ALMG, FailureModel.uniform(ring, 0.7)),
         (Variant.ALBG, FailureModel.always_on(ring)),
     ):
-        dist = event_distribution(ring, failures, ClockModel(variant))
+        dist = event_distribution(ring, failures, variant)
         state = make_state(variant, inst, ring)
         rng = np.random.default_rng(42)
         counters = Counters()
@@ -224,7 +224,7 @@ def test_acceptance_4_dual_copy_agreement_and_zero_sum():
     failures = FailureModel.always_on(ring)
 
     # pairwise gossip: the two copies of every link dual stay together
-    dist = event_distribution(ring, failures, ClockModel(Variant.ALG))
+    dist = event_distribution(ring, failures, Variant.ALG)
     state = make_state(Variant.ALG, inst, ring)
     pen = np.full((2, ring.num_arcs), 2.0)
     rng = np.random.default_rng(11)
@@ -239,7 +239,7 @@ def test_acceptance_4_dual_copy_agreement_and_zero_sum():
         assert gap <= 1e-8, f"dual copy gap {gap:.2e} after update {t}"
 
     # broadcast variant: aggregated duals always sum to zero
-    dist_bg = event_distribution(ring, failures, ClockModel(Variant.ALBG))
+    dist_bg = event_distribution(ring, failures, Variant.ALBG)
     state_bg = make_state(Variant.ALBG, inst, ring)
     rng = np.random.default_rng(12)
     worst_sum = 0.0
@@ -348,7 +348,7 @@ def test_acceptance_7_event_distribution_chi_square():
 
     pvalues = []
     for graph, failures, seed in configs:
-        dist = event_distribution(graph, failures, ClockModel(Variant.ALG))
+        dist = event_distribution(graph, failures, Variant.ALG)
         index = {ev: i for i, ev in enumerate(dist.outcomes)}
         counts = np.zeros(len(dist.outcomes))
         rng = np.random.default_rng(seed)

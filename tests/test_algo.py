@@ -11,8 +11,7 @@ from algossip.algo import (ALBGState, ALGState, Counters, PenaltySchedule,
                            update_adaptive)
 from algossip.errors import ConfigError, DomainError, KindError, \
     NumericError
-from algossip.events import (ClockModel, Event, EventKind, Variant,
-                             event_distribution)
+from algossip.events import Event, EventKind, Variant, event_distribution
 from algossip.graph import FailureModel, Supergraph
 from algossip.problem import QuadConsensusInstance
 
@@ -146,9 +145,10 @@ class TestInnerStepALG:
         state.y[:] = xbar
         state.y_recv[:] = xbar
         pen = pen_of(ring4_graph, 2.0)
+        arc_id = ring4_graph.arc_id
         for ev in [Event(EventKind.X_UPDATE, node=2),
-                   Event(EventKind.Y_TRANSFER, arc=(0, 1)),
-                   Event(EventKind.Y_TRANSFER, arc=(3, 2))]:
+                   Event(EventKind.Y_TRANSFER, arc=arc_id[(0, 1)]),
+                   Event(EventKind.Y_TRANSFER, arc=arc_id[(3, 2)])]:
             inner_step_alg(state, ev, pen, counters=Counters())
         np.testing.assert_allclose(state.x, np.tile(xbar, (4, 1)),
                                    atol=1e-12)
@@ -161,7 +161,7 @@ class TestInnerStepALG:
         pen = pen_of(pair_graph, 1.0)
         failures = FailureModel.always_on(pair_graph)
         dist = event_distribution(pair_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
         rng = np.random.default_rng(0)
         counters = Counters()
         values = [lagrangian_eval(state, pen)]
@@ -179,7 +179,7 @@ class TestInnerStepALG:
         state.y[a01] = 0.7
         state.x[1] = np.array([2.0])
         counters = Counters()
-        inner_step_alg(state, Event(EventKind.Y_TRANSFER, arc=(0, 1)),
+        inner_step_alg(state, Event(EventKind.Y_TRANSFER, arc=a01),
                        pen_of(pair_graph, 1.0), counters=counters)
         np.testing.assert_array_equal(state.y_recv[a01], [0.7])
         assert state.stale[a01] == 0.0
@@ -249,24 +249,26 @@ class TestInnerStepMG:
             state_a.lam[a] = state_a.lam[path3_graph.arc_rev[a]] = lam
         state_b = copy.deepcopy(state_a)
         pen = pen_of(path3_graph, 1.3)
+        out = (path3_graph.arc_id[(1, 0)], path3_graph.arc_id[(1, 2)])
         inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=1,
-                                     receivers=(0, 2)), pen,
+                                     receivers=out), pen,
                       counters=Counters())
-        for j in (0, 2):
-            inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=(1, j)),
+        for a in out:
+            inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=a),
                            pen, counters=Counters())
         np.testing.assert_allclose(state_a.y, state_b.y, atol=1e-15)
 
     def test_single_neighbor_broadcast_reduces_to_pairwise(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
         state_a = ALGState(inst, pair_graph)
-        state_a.y[pair_graph.arc_id[(0, 1)]] = 0.9
+        a01 = pair_graph.arc_id[(0, 1)]
+        state_a.y[a01] = 0.9
         state_b = copy.deepcopy(state_a)
         pen = pen_of(pair_graph, 1.0)
         inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=0,
-                                     receivers=(1,)), pen,
+                                     receivers=(a01,)), pen,
                       counters=Counters())
-        inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=(0, 1)),
+        inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=a01),
                        pen, counters=Counters())
         np.testing.assert_array_equal(state_a.y, state_b.y)
 
@@ -341,7 +343,7 @@ class TestRunInner:
         inst = QuadConsensusInstance([[0.0], [2.0]])
         failures = FailureModel.always_on(pair_graph)
         dist = event_distribution(pair_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
         state = ALGState(inst, pair_graph)
         x_before = state.x.copy()
         applied = run_inner(state, Variant.ALG, pair_graph, failures, dist,
@@ -394,7 +396,7 @@ class TestRunInner:
 
         failures = FailureModel.always_on(path3_graph)
         dist = event_distribution(path3_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
         run_inner(state, Variant.ALG, path3_graph, failures, dist,
                   pen_of(path3_graph, rho), np.random.default_rng(2),
                   Counters(), k_inner=50_000, stop_tol=1e-12)
@@ -405,7 +407,7 @@ class TestRunInner:
         inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
         failures = FailureModel.uniform(ring4_graph, 0.8)
         dist = event_distribution(ring4_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
 
         def once():
             state = ALGState(inst, ring4_graph)
@@ -424,7 +426,7 @@ class TestDualConsistency:
         inst = QuadConsensusInstance(np.linspace(0, 3, 8).reshape(4, 2))
         failures = FailureModel.always_on(ring4_graph)
         dist = event_distribution(ring4_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
         state = ALGState(inst, ring4_graph)
         rng = np.random.default_rng(9)
         counters = Counters()
@@ -568,7 +570,7 @@ class TestDiagnostics:
         inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
         failures = FailureModel.always_on(path3_graph)
         dist = event_distribution(path3_graph, failures,
-                                  ClockModel(Variant.ALG))
+                                  Variant.ALG)
         state = ALGState(inst, path3_graph)
         pen = pen_of(path3_graph, 1.5)
         run_inner(state, Variant.ALG, path3_graph, failures, dist, pen,
@@ -578,7 +580,7 @@ class TestDiagnostics:
         y_before = state.y.copy()
         events = [Event(EventKind.X_UPDATE, node=i) for i in range(3)]
         events += [Event(EventKind.Y_TRANSFER, arc=a)
-                   for a in path3_graph.arcs]
+                   for a in range(path3_graph.num_arcs)]
         for ev in events:
             inner_step_alg(state, ev, pen, counters=Counters())
         np.testing.assert_allclose(state.x, x_before, atol=1e-11)

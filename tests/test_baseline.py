@@ -110,7 +110,7 @@ class TestPSStep:
         assert best[-1] < best[0]
 
     def test_symmetric_realization_uses_min_probability(self, pair_graph):
-        failures = FailureModel(pair_graph, {(0, 1): 1.0, (1, 0): 0.25})
+        failures = FailureModel(pair_graph, [1.0, 0.25])  # arcs (0, 1), (1, 0)
         rng = np.random.default_rng(1)
         n = 8000
         present = sum(len(realize_symmetric(pair_graph, failures, rng))

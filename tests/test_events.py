@@ -2,81 +2,70 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from algossip.errors import ConfigError
-from algossip.events import (ClockModel, Event, EventDistribution, EventKind,
-                             Variant, event_distribution, sample_event,
+from algossip.events import (Event, EventDistribution, EventKind, Variant,
+                             event_distribution, sample_event,
                              sample_mg_event)
-from algossip.graph import FailureModel, Supergraph, build_geometric
+from algossip.graph import FailureModel, build_geometric
 
 
-def alg_clocks():
-    return ClockModel(Variant.ALG)
+def prob(dist, event):
+    """Probability of ``event`` under ``dist``; 0 outside the support."""
+    return sum(float(q) for ev, q in zip(dist.outcomes, dist.probs)
+               if ev == event)
 
 
 class TestEventDistribution:
     def test_pair_no_failures_is_uniform_over_four_clocks(self, pair_graph):
         dist = event_distribution(pair_graph,
                                   FailureModel.always_on(pair_graph),
-                                  alg_clocks())
+                                  Variant.ALG)
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         for i in range(2):
-            assert dist.prob(Event(EventKind.X_UPDATE, node=i)) == 0.25
-        for arc in pair_graph.arcs:
-            assert dist.prob(Event(EventKind.Y_TRANSFER, arc=arc)) == 0.25
-        assert dist.prob(Event(EventKind.VOID)) == 0.0
+            assert prob(dist, Event(EventKind.X_UPDATE, node=i)) == 0.25
+        for a in range(pair_graph.num_arcs):
+            assert prob(dist, Event(EventKind.Y_TRANSFER, arc=a)) == 0.25
+        assert prob(dist, Event(EventKind.VOID)) == 0.0
 
     def test_pair_with_one_failing_arc_splits_mass(self, pair_graph):
-        failures = FailureModel(pair_graph, {(0, 1): 0.5, (1, 0): 1.0})
-        dist = event_distribution(pair_graph, failures, alg_clocks())
-        assert dist.prob(Event(EventKind.Y_TRANSFER, arc=(0, 1))) == \
+        a01, a10 = pair_graph.arc_id[(0, 1)], pair_graph.arc_id[(1, 0)]
+        failures = FailureModel(pair_graph, [0.5, 1.0])
+        assert failures.p[a01] == 0.5 and failures.p[a10] == 1.0
+        dist = event_distribution(pair_graph, failures, Variant.ALG)
+        assert prob(dist, Event(EventKind.Y_TRANSFER, arc=a01)) == \
             pytest.approx(1 / 8)
-        assert dist.prob(Event(EventKind.Y_TRANSFER, arc=(1, 0))) == \
+        assert prob(dist, Event(EventKind.Y_TRANSFER, arc=a10)) == \
             pytest.approx(1 / 4)
-        assert dist.prob(Event(EventKind.VOID)) == pytest.approx(1 / 8)
+        assert prob(dist, Event(EventKind.VOID)) == pytest.approx(1 / 8)
 
     def test_void_absent_without_failures(self, ring4_graph):
         dist = event_distribution(ring4_graph,
                                   FailureModel.always_on(ring4_graph),
-                                  alg_clocks())
+                                  Variant.ALG)
         assert all(ev.kind is not EventKind.VOID for ev in dist.outcomes)
         assert np.all(dist.probs > 0)
 
     def test_probabilities_sum_to_one_with_failures(self):
         g = build_geometric(10, 0.5, seed=4)
         failures = FailureModel.from_distance(g, 0.5, 0.5)
-        dist = event_distribution(g, failures, alg_clocks())
+        dist = event_distribution(g, failures, Variant.ALG)
         assert abs(dist.probs.sum() - 1.0) <= 1e-12
         assert np.all(dist.probs > 0)
 
     def test_bg_distribution_has_no_void_outcome(self, ring4_graph):
         dist = event_distribution(ring4_graph,
                                   FailureModel.always_on(ring4_graph),
-                                  ClockModel(Variant.ALBG))
+                                  Variant.ALBG)
         assert len(dist.outcomes) == ring4_graph.n
         assert all(ev.kind is EventKind.BG_UPDATE for ev in dist.outcomes)
-        assert dist.prob(Event(EventKind.VOID)) == 0.0
+        assert prob(dist, Event(EventKind.VOID)) == 0.0
         np.testing.assert_allclose(dist.probs, 0.25)
 
     def test_mg_tick_distribution_over_two_clocks_per_node(self, path3_graph):
         dist = event_distribution(path3_graph,
                                   FailureModel.uniform(path3_graph, 0.7),
-                                  ClockModel(Variant.ALMG))
+                                  Variant.ALMG)
         assert len(dist.outcomes) == 2 * path3_graph.n
         np.testing.assert_allclose(dist.probs, 1 / 6)
-
-    def test_unequal_rates_reweight_outcomes(self, pair_graph):
-        clocks = ClockModel(Variant.ALG, x_rates=(3.0, 1.0),
-                            y_rates=(1.0, 1.0))
-        dist = event_distribution(pair_graph,
-                                  FailureModel.always_on(pair_graph), clocks)
-        assert dist.prob(Event(EventKind.X_UPDATE, node=0)) == \
-            pytest.approx(0.5)
-        assert dist.prob(Event(EventKind.X_UPDATE, node=1)) == \
-            pytest.approx(1 / 6)
-
-    def test_rates_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ClockModel(Variant.ALG, x_rates=(1.0, 0.0))
 
 
 class TestSampling:
@@ -88,7 +77,7 @@ class TestSampling:
     def test_fixed_seed_gives_identical_sequences(self, ring4_graph):
         dist = event_distribution(ring4_graph,
                                   FailureModel.uniform(ring4_graph, 0.8),
-                                  alg_clocks())
+                                  Variant.ALG)
         seq1 = [sample_event(dist, np.random.default_rng(3))
                 for _ in range(1)]
         a = np.random.default_rng(99)
@@ -100,7 +89,7 @@ class TestSampling:
     def test_pair_frequencies_within_one_percent(self, pair_graph):
         dist = event_distribution(pair_graph,
                                   FailureModel.always_on(pair_graph),
-                                  alg_clocks())
+                                  Variant.ALG)
         rng = np.random.default_rng(2024)
         counts = {ev: 0 for ev in dist.outcomes}
         n = 100_000
@@ -120,7 +109,7 @@ class TestSampling:
             failures = FailureModel.uniform(g, 0.6)
         else:
             failures = FailureModel.from_distance(g, 0.7, 0.5)
-        dist = event_distribution(g, failures, alg_clocks())
+        dist = event_distribution(g, failures, Variant.ALG)
         index = {ev: i for i, ev in enumerate(dist.outcomes)}
         counts = np.zeros(len(dist.outcomes))
         rng = np.random.default_rng(seed + 1000)
@@ -136,7 +125,8 @@ class TestMultiNeighborSampling:
         ev = sample_mg_event(1, path3_graph,
                              FailureModel.always_on(path3_graph), rng)
         assert ev.kind is EventKind.MG_BROADCAST
-        assert ev.receivers == (0, 2)
+        assert ev.receivers == (path3_graph.arc_id[(1, 0)],
+                                path3_graph.arc_id[(1, 2)])
 
     def test_empty_subset_maps_to_void_with_source_node(self, path3_graph):
         failures = FailureModel.uniform(path3_graph, 0.5)
@@ -159,12 +149,3 @@ class TestMultiNeighborSampling:
             ev = sample_mg_event(1, path3_graph, failures, rng)
             sizes[0 if ev.kind is EventKind.VOID else len(ev.receivers)] += 1
         np.testing.assert_allclose(sizes / n, [0.25, 0.5, 0.25], atol=0.01)
-
-    def test_rejects_non_independent_failure_models(self, path3_graph, rng):
-        failures = FailureModel.uniform(path3_graph, 0.5)
-        failures.mode = "correlated"  # simulate an unsupported model
-        with pytest.raises(ConfigError):
-            sample_mg_event(1, path3_graph, failures, rng)
-        with pytest.raises(ConfigError):
-            event_distribution(path3_graph, failures,
-                               ClockModel(Variant.ALMG))

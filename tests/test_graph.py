@@ -13,7 +13,7 @@ def delivered(model, sender, receiver, rng) -> bool:
     """Whether one broadcast from ``sender`` reaches ``receiver`` (each arc
     is drawn independently with its success probability)."""
     ev = sample_mg_event(sender, model.graph, model, rng)
-    return receiver in (ev.receivers or ())
+    return model.graph.arc_id[(sender, receiver)] in (ev.receivers or ())
 
 
 class TestSupergraph:
@@ -102,17 +102,21 @@ class TestFailureModel:
         model = FailureModel.always_on(ring4_graph)
         for i in range(ring4_graph.n):
             ev = sample_mg_event(i, ring4_graph, model, rng)
-            assert ev.receivers == ring4_graph.neighbors[i]
+            assert tuple(ring4_graph.arc_dst[a] for a in ev.receivers) == \
+                ring4_graph.neighbors[i]
 
     def test_success_probability_positive_required(self, pair_graph):
         with pytest.raises(ValueError):
             FailureModel(pair_graph, 0.0)
         with pytest.raises(ValueError):
-            FailureModel(pair_graph, {(0, 1): 0.5, (1, 0): -0.1})
-
-    def test_always_on_mode_rejects_partial_probabilities(self, pair_graph):
+            FailureModel(pair_graph, [0.5, -0.1])
         with pytest.raises(ValueError):
-            FailureModel(pair_graph, 0.9, mode="always_on")
+            FailureModel(pair_graph, [0.5])  # one value per arc id
+
+    def test_reliable_iff_every_probability_is_one(self, pair_graph):
+        assert FailureModel.always_on(pair_graph).reliable
+        assert FailureModel.uniform(pair_graph, 1.0).reliable
+        assert not FailureModel(pair_graph, [1.0, 0.9]).reliable
 
     def test_empirical_frequency_matches_probability(self, pair_graph):
         model = FailureModel.uniform(pair_graph, 0.5)
@@ -121,7 +125,7 @@ class TestFailureModel:
         assert abs(hits / 10_000 - 0.5) <= 0.02
 
     def test_asymmetric_probabilities_per_arc(self, pair_graph):
-        model = FailureModel(pair_graph, {(0, 1): 1.0, (1, 0): 0.5})
+        model = FailureModel(pair_graph, [1.0, 0.5])  # arcs (0, 1), (1, 0)
         rng = np.random.default_rng(5)
         n = 4000
         up = down = 0
@@ -146,9 +150,9 @@ class TestFailureModel:
         model = FailureModel.from_distance(g, 0.6, 0.5)
         for arc in g.arcs:
             d = g.edge_distance(*arc)
-            assert model.success_prob(arc) == pytest.approx(
+            assert model.p[g.arc_id[arc]] == pytest.approx(
                 1.0 - 0.5 * d ** 2 / 0.6 ** 2)
-            assert model.success_prob(arc) > 0
+            assert model.p[g.arc_id[arc]] > 0
 
 
 class TestNetworkIO:
@@ -160,11 +164,16 @@ class TestNetworkIO:
         g2, model2 = load_network(path)
         assert g2.n == g.n
         assert g2.edges == g.edges
-        for arc in g.arcs:
-            assert model2.success_prob(arc) == model.success_prob(arc)
+        assert model2.p == model.p
 
     def test_always_on_mode_round_trips(self, tmp_path, ring4_graph):
         path = tmp_path / "net.txt"
         save_network(path, ring4_graph, FailureModel.always_on(ring4_graph))
         _, model = load_network(path)
-        assert model.mode == "always_on"
+        assert model.reliable
+
+    def test_disconnected_network_is_rejected(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("4\n0 1 1 1\n2 3 1 1\n")
+        with pytest.raises(ConnectivityFailure):
+            load_network(path)

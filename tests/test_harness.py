@@ -173,6 +173,23 @@ fstar = auto
         assert res.log.rows[-1].err_f < 0.1
 
 
+class TestReliableLinks:
+    @pytest.mark.parametrize("name,extra", [
+        ("alg", ""), ("almg", ""), ("albg", ""), ("ps", "alpha = 0.05"),
+    ])
+    def test_uniform_p_one_runs_like_always_on(self, tmp_path, name, extra):
+        body = QUAD_CONFIG.format(name=name, t_outer=3, extra=extra)
+        uniform = body.replace("failures = always_on",
+                               "failures = uniform\nfailure_p = 1")
+        outputs = []
+        for i, text in enumerate((body, uniform)):
+            out = tmp_path / f"out{i}"
+            harness.run(write_config(tmp_path, body=text), out_dir=str(out))
+            outputs.append([(out / f).read_bytes()
+                            for f in ("run_trace.csv", "run_state.txt")])
+        assert outputs[0] == outputs[1]
+
+
 class TestFileBackedConfigs:
     def test_run_from_saved_network_and_instance(self, tmp_path):
         from algossip.graph import FailureModel, build_geometric, save_network
@@ -343,6 +360,32 @@ class TestAtomicWrites:
         assert list(plot_dir.iterdir()) == [plot]
 
 
+    def test_failed_save_keeps_previous_network_and_instance(
+            self, tmp_path, monkeypatch):
+        from algossip.graph import FailureModel, build_geometric, save_network
+        from algossip.problem import QuadConsensusInstance, save_instance
+
+        graph = build_geometric(4, 0.9, seed=2)
+        net, inst = tmp_path / "net.txt", tmp_path / "inst.txt"
+        save_network(net, graph, FailureModel.always_on(graph))
+        save_instance(inst, QuadConsensusInstance([[0.0], [1.0], [2.0],
+                                                   [3.0]]))
+        before = {p: p.read_bytes() for p in (net, inst)}
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        # different contents are written out, then the save is cut short
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_network(net, graph, FailureModel.uniform(graph, 0.5))
+        with pytest.raises(KeyboardInterrupt):
+            save_instance(inst, QuadConsensusInstance([[4.0], [5.0], [6.0],
+                                                       [7.0]]))
+        assert {p: p.read_bytes() for p in (net, inst)} == before
+        assert sorted(tmp_path.iterdir()) == sorted(before)
+
+
 class TestCompare:
     def test_single_config_degenerate_table(self, tmp_path):
         table = harness.compare([write_config(tmp_path)], [1e-2])
@@ -437,6 +480,8 @@ class TestCLI:
          ["run"]),
         ([("radius = 0.9\nseed = 2\nfailures = always_on",
            "file = {tmp}/missing.txt")], ["run"]),
+        ([("radius = 0.9\nseed = 2\nfailures = always_on",
+           "file = {tmp}/disconnected.txt")], ["run"]),
         ([("t_outer = 2", "t_outer = -3")], ["run"]),
         ([("name = alg", "name = ps\nalpha = 0.01"),
           ("t_outer = 2", "t_outer = -3")], ["run"]),
@@ -446,10 +491,13 @@ class TestCLI:
           ("checkpoint = 60", "checkpoint = -5")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
-            "negative_t_outer", "ps_negative_t_outer", "negative_k_inner",
-            "negative_checkpoint", "ps_negative_checkpoint"])
+            "graph_file_disconnected", "negative_t_outer",
+            "ps_negative_t_outer", "negative_k_inner", "negative_checkpoint",
+            "ps_negative_checkpoint"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
+        # edges 0-1 and 2-3 only: a network with two components
+        (tmp_path / "disconnected.txt").write_text("4\n0 1 1 1\n2 3 1 1\n")
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
         for old, new in edits:
             assert old in body
@@ -462,6 +510,21 @@ class TestCLI:
         assert err.startswith("config error: ") and err.count("\n") == 1
         # rejected before the reference solve
         assert not (out / "oracle_cache.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--configs", "{cfg}", "--thresholds", "1e-2,x"],
+        ["extract", "--trace", "{tmp}/missing.csv"],
+        ["extract", "--trace", "{tmp}/malformed.csv"],
+    ], ids=["compare_thresholds", "extract_missing", "extract_malformed"])
+    def test_bad_arguments_exit_2_with_one_line(self, tmp_path, capsys,
+                                                args):
+        cfg = write_config(tmp_path)
+        (tmp_path / "malformed.csv").write_text(
+            "t,k,transmissions,flops,err_f,L_value,max_dual_gap,feasible\n"
+            "0,0,x\n")
+        assert cli_main([a.format(cfg=cfg, tmp=tmp_path) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         runaway = QUAD_CONFIG.format(name="ps", t_outer=200,

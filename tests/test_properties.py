@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from algossip.algo import (Counters, PenaltySchedule, Variant,
                            dual_update_alg, dual_update_bg, lagrangian_eval,
                            make_state, run_inner, run_outer)
-from algossip.events import ClockModel, event_distribution
+from algossip.events import event_distribution
 from algossip.graph import FailureModel, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 
@@ -71,7 +71,7 @@ def test_arc_layout_matches_arc_order(graph):
 def test_every_event_descends(graph, variant, seed, rho, p):
     inst = instance(graph, seed)
     failures = failures_for(variant, graph, p)
-    dist = event_distribution(graph, failures, ClockModel(variant))
+    dist = event_distribution(graph, failures, variant)
     state = make_state(variant, inst, graph)
     rng = np.random.default_rng(seed)
     counters = Counters()
@@ -94,7 +94,7 @@ def test_every_event_descends(graph, variant, seed, rho, p):
 def test_albg_duals_sum_to_zero(graph, seed, rho):
     inst = instance(graph, seed)
     failures = FailureModel.always_on(graph)
-    dist = event_distribution(graph, failures, ClockModel(Variant.ALBG))
+    dist = event_distribution(graph, failures, Variant.ALBG)
     state = make_state(Variant.ALBG, inst, graph)
     rng = np.random.default_rng(seed)
     for _ in range(5):
@@ -110,7 +110,7 @@ def test_albg_duals_sum_to_zero(graph, seed, rho):
 def test_dual_copies_agree_after_tolerance_slots(graph, variant, seed, rho):
     inst = instance(graph, seed)
     failures = FailureModel.always_on(graph)
-    dist = event_distribution(graph, failures, ClockModel(variant))
+    dist = event_distribution(graph, failures, variant)
     state = make_state(variant, inst, graph)
     pen = penalty(variant, graph, rho)
     rng = np.random.default_rng(seed)
@@ -143,7 +143,7 @@ def test_counters_never_decrease(graph, variant, seed, p):
        rho=st.floats(0.2, 4.0), p=st.floats(0.3, 1.0))
 def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
     failures = failures_for(variant, graph, p)
-    dist = event_distribution(graph, failures, ClockModel(variant))
+    dist = event_distribution(graph, failures, variant)
     for inst in (instance(graph, seed), logreg_instance(graph, seed)):
         state = make_state(variant, inst, graph)
         rng = np.random.default_rng(seed)
