@@ -544,6 +544,9 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     a fixed seed."""
     if t_outer < 0 or k_inner < 0:
         raise ConfigError("t_outer and k_inner must be nonnegative")
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be nonnegative, got "
+                          f"{checkpoint_every}")
     if problem.n_nodes != graph.n:
         raise ConfigError(f"problem has {problem.n_nodes} nodes but the "
                           f"graph has {graph.n}")

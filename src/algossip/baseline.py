@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algo import FEAS_TOL, Counters
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .graph import Edge, FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
 from .problem import ProblemInstance, err_f
@@ -51,11 +51,13 @@ def realize_symmetric(graph: Supergraph, failures: FailureModel,
 
 @dataclass
 class PSState:
-    """Per-node estimates, the fixed step size, and the round counter."""
+    """Per-node estimates, the fixed step size, the round counter, and the
+    flops of one round's local steps (set once per run by ``run_ps``)."""
 
     x: np.ndarray
     alpha: float
     k: int = 0
+    local_flops: int = 0
 
 
 def ps_step(state: PSState, realized_edges, problem: ProblemInstance,
@@ -71,19 +73,13 @@ def ps_step(state: PSState, realized_edges, problem: ProblemInstance,
     n = problem.n_nodes
     w = metropolis_weights(n, realized_edges) if weights is None else weights
     mixed = w @ state.x
-    new = np.empty_like(state.x)
-    for i in range(n):
-        g = problem.node_subgradient(i, mixed[i])
-        new[i] = problem.node_project(i, mixed[i] - state.alpha * g)
-    state.x = new
+    state.x = problem.project(mixed - state.alpha * problem.subgradients(mixed))
     state.k += 1
     if counters is not None:
         counters.transmissions += 2 * len(realized_edges)
         counters.k += 1
-        d = problem.dim
-        counters.flops += sum(
-            problem.subgrad_flops(i) + 4 * d for i in range(n)
-        ) + 2 * d * 2 * len(realized_edges)
+        counters.flops += (state.local_flops
+                           + 2 * problem.dim * 2 * len(realized_edges))
 
 
 def run_ps(problem: ProblemInstance, graph: Supergraph,
@@ -93,13 +89,20 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
     """Run the baseline for a fixed number of rounds, logging like the
     gossip runners (slot column = round; no Lagrangian or dual gap)."""
     if alpha <= 0:
-        raise ValueError(f"step size must be positive, got {alpha}")
+        raise ConfigError(f"step size must be positive, got {alpha}")
+    if rounds < 0:
+        raise ConfigError(f"rounds must be nonnegative, got {rounds}")
+    if checkpoint_every < 0:
+        raise ConfigError(f"checkpoint_every must be nonnegative, got "
+                          f"{checkpoint_every}")
     if failures is None:
         failures = FailureModel.always_on(graph)
     rng = np.random.default_rng(seed)
     x0 = np.stack([problem.node_project(i, np.zeros(problem.dim))
                    for i in range(graph.n)])
-    state = PSState(x=x0, alpha=float(alpha))
+    d = problem.dim
+    state = PSState(x=x0, alpha=float(alpha), local_flops=sum(
+        problem.subgrad_flops(i) + 4 * d for i in range(problem.n_nodes)))
     counters = Counters()
     log = MetricsLog()
     static_edges = list(graph.edges) if failures.reliable else None

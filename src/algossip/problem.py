@@ -27,6 +27,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _row_dots(D: np.ndarray) -> np.ndarray:
+    """``d @ d`` for every row ``d`` along the last axis of ``D``.
+
+    A stacked (1 x m) @ (m x 1) matmul makes the same BLAS dot call per row
+    as ``d @ d`` or ``d.dot(d)`` on a contiguous 1-D row, so every entry has
+    the same bits; a reduction such as ``(D * D).sum(-1)`` may round
+    differently, and so does the BLAS dot of a strided row.
+    """
+    D = np.ascontiguousarray(D)
+    return np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0]
+
+
 class ProblemInstance(abc.ABC):
     """Sum-of-private-objectives problem over a common decision vector.
 
@@ -35,6 +47,19 @@ class ProblemInstance(abc.ABC):
     immutable after construction and all callbacks are pure. The composite
     callbacks return fresh arrays, which the node solver keeps without
     copying.
+
+    Checkpoint metrics and the synchronous baseline call whole-network
+    callbacks on a 2-D array ``X`` of estimates instead:
+
+    * ``values(X)``: the ``(n_nodes, len(X))`` matrix of ``f_i(X[j])``;
+    * ``set_distances(X)``: the ``(n_nodes, len(X))`` matrix of
+      ``||P_i(X[j]) - X[j]||``, the distance of every row to every node set;
+    * ``subgradients(X)`` and ``project(X)``: ``len(X) == n_nodes`` and row
+      ``i`` is evaluated at node ``i``, in fresh arrays.
+
+    Each entry must equal the per-node callback (and ``np.linalg.norm`` of
+    the projection step) bit for bit, so that a seeded trace does not
+    depend on which form computed it.
     """
 
     dim: int
@@ -55,6 +80,22 @@ class ProblemInstance(abc.ABC):
     @abc.abstractmethod
     def node_project(self, i: int, x: np.ndarray) -> np.ndarray:
         """Euclidean projection of x onto the node's constraint set."""
+
+    @abc.abstractmethod
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """The matrix of f_i at every row of X, one row per node."""
+
+    @abc.abstractmethod
+    def set_distances(self, X: np.ndarray) -> np.ndarray:
+        """Distance of every row of X to every node set, one row per node."""
+
+    @abc.abstractmethod
+    def subgradients(self, X: np.ndarray) -> np.ndarray:
+        """Row i: a subgradient of f_i at X[i]."""
+
+    @abc.abstractmethod
+    def project(self, X: np.ndarray) -> np.ndarray:
+        """Row i: the projection of X[i] onto node i's set."""
 
     def global_value(self, x: np.ndarray) -> float:
         return sum(self.node_value(i, x) for i in range(self.n_nodes))
@@ -93,13 +134,11 @@ class ProblemInstance(abc.ABC):
     def node_feasible(self, i: int, x: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.linalg.norm(self.node_project(i, x) - x) <= tol)
 
-    def is_feasible(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        """Membership of x in the intersection of every node's set."""
-        return all(self.node_feasible(i, x, tol) for i in range(self.n_nodes))
-
     def all_feasible(self, xs: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether every row of ``xs`` lies in the intersection."""
-        return all(self.is_feasible(xs[i], tol) for i in range(len(xs)))
+        """Whether every row of ``xs`` lies within ``tol`` of every node
+        set."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        return bool((self.set_distances(xs) <= tol).all())
 
     # Coarse instruction-count estimates for the flop counters.
     def value_flops(self, i: int) -> int:
@@ -150,6 +189,24 @@ class QuadConsensusInstance(ProblemInstance):
         if self.lo is None:
             return np.asarray(x, dtype=float)
         return np.clip(x, self.lo[i], self.hi[i])
+
+    def values(self, X):
+        return self.weights[:, None] * _row_dots(X - self.targets[:, None])
+
+    def set_distances(self, X):
+        if self.lo is None:
+            proj = np.broadcast_to(X, (self.n_nodes, *X.shape))
+        else:
+            proj = np.clip(X, self.lo[:, None], self.hi[:, None])
+        return np.sqrt(_row_dots(proj - X))
+
+    def subgradients(self, X):
+        return (2.0 * self.weights)[:, None] * (X - self.targets)
+
+    def project(self, X):
+        if self.lo is None:
+            return np.array(X, dtype=float)
+        return np.clip(X, self.lo, self.hi)
 
     def global_subgradient(self, x):
         wsum = self.weights.sum()
@@ -235,8 +292,12 @@ class LogRegInstance(ProblemInstance):
         # its final negation: there the sign of a zero would show.
         # ndarray.dot skips np.dot's dispatch, Python floats skip numpy
         # scalars, and zero arrays skip converting a 0.0 operand per call.
-        self._neg = tuple(-self._design)
-        self._design_t = tuple(d.T for d in self._design)
+        # The whole-network callbacks make the same BLAS calls on the same
+        # memory through stacked matmuls.
+        self._negs = -self._design
+        self._designs_t = self._design.transpose(0, 2, 1)
+        self._neg = tuple(self._negs)
+        self._design_t = tuple(self._designs_t)
         self._l1 = self.lam_reg / self.n_nodes
         self._ball = self.ball_sq.tolist()
         self._vmax = self.v_bound.tolist()
@@ -256,6 +317,27 @@ class LogRegInstance(ProblemInstance):
     def node_project(self, i, x):
         out = np.array(x, dtype=float)
         self._project_into(i, out)
+        return out
+
+    def values(self, X):
+        u = np.matmul(self._negs[:, None], X[None, :, :, None])[..., 0]
+        loss = np.add.reduce(np.logaddexp(0.0, u), axis=-1)
+        return loss + self._l1 * np.add.reduce(np.abs(X[:, :-1]), axis=-1)
+
+    def set_distances(self, X):
+        proj = np.repeat(X[None], self.n_nodes, axis=0)
+        _project_rows(proj, self.ball_sq[:, None], self.v_bound[:, None])
+        return np.sqrt(_row_dots(proj - X))
+
+    def subgradients(self, X):
+        u = np.matmul(self._negs, X[:, :, None])
+        g = -np.matmul(self._designs_t, expit(u))[..., 0]
+        g[:, :-1] += self._l1 * np.sign(X[:, :-1])
+        return g
+
+    def project(self, X):
+        out = np.array(X, dtype=float)
+        _project_rows(out, self.ball_sq, self.v_bound)
         return out
 
     def _project_into(self, i, out):
@@ -323,6 +405,21 @@ class LogRegInstance(ProblemInstance):
 
     def subgrad_flops(self, i):
         return self.n_samples * (8 * self.dim + 40) + 2 * self.dim
+
+
+def _project_rows(out, ball_sq, v_bound):
+    """``LogRegInstance._project_into`` on every row of ``out`` (in place),
+    with one squared ball radius and one offset bound per row, broadcast
+    over ``out.shape[:-1]``."""
+    w = out[..., :-1]
+    nrm_sq = _row_dots(w)
+    big = nrm_sq > ball_sq
+    if big.any():
+        ball = np.broadcast_to(ball_sq, big.shape)[big]
+        w[big] *= np.sqrt(ball / nrm_sq[big])[:, None]
+    v = out[..., -1]
+    np.copyto(v, v_bound, where=v > v_bound)
+    np.copyto(v, -v_bound, where=v < -v_bound)
 
 
 def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
@@ -458,7 +555,8 @@ def err_f(inst: ProblemInstance, xs: Sequence[np.ndarray],
     marks such rows).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    gaps = [inst.global_value(x) - fstar for x in xs]
+    # node values summed row by row in node order, as global_value sums them
+    gaps = sum(inst.values(xs)) - fstar
     return float(np.mean(gaps))
 
 

@@ -551,6 +551,14 @@ class TestRunOuter:
             run_outer(small, ring4_graph, Variant.ALG,
                       PenaltySchedule.fixed(1.0), 1, 10, 0)
 
+    @pytest.mark.parametrize("every", [-5, -1])
+    def test_negative_checkpoint_every_is_rejected(self, ring4_graph, every):
+        inst = QuadConsensusInstance(np.zeros((4, 1)))
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            run_outer(inst, ring4_graph, Variant.ALG,
+                      PenaltySchedule.fixed(1.0), t_outer=1, k_inner=20,
+                      seed=0, checkpoint_every=every)
+
     def test_counter_columns_are_nondecreasing(self, ring4_graph):
         inst = QuadConsensusInstance(np.arange(4.0).reshape(4, 1))
         log, _ = run_outer(inst, ring4_graph, Variant.ALMG,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from algossip.baseline import (PSState, metropolis_weights, ps_step,
                                realize_symmetric, run_ps)
+from algossip.errors import ConfigError
 from algossip.graph import FailureModel, Supergraph, build_geometric
 from algossip.problem import QuadConsensusInstance
 
@@ -117,6 +118,30 @@ class TestPSStep:
                       for _ in range(n))
         band = 3 * np.sqrt(0.25 * 0.75 / n)
         assert abs(present / n - 0.25) <= band
+
+
+class TestRunPSInput:
+    @pytest.mark.parametrize("kw, match", [
+        (dict(checkpoint_every=-5), "checkpoint_every"),
+        (dict(rounds=-3), "rounds"),
+        (dict(alpha=0.0), "step size"),
+        (dict(alpha=-0.1), "step size"),
+    ])
+    def test_bad_arguments_are_config_errors(self, path3_graph, kw, match):
+        inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
+        args = dict(alpha=0.05, rounds=10, seed=0, checkpoint_every=1)
+        with pytest.raises(ConfigError, match=match):
+            run_ps(inst, path3_graph, None, **{**args, **kw})
+
+    def test_flops_count_local_steps_and_sends(self, path3_graph):
+        inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
+        log, state = run_ps(inst, path3_graph, None, alpha=0.05, rounds=7,
+                            seed=0, checkpoint_every=1)
+        d = inst.dim
+        local = sum(inst.subgrad_flops(i) + 4 * d for i in range(3))
+        assert state.local_flops == local
+        per_round = local + 2 * d * 2 * len(path3_graph.edges)
+        assert log.column("flops") == [r * per_round for r in range(8)]
 
 
 class TestAlphaSweep:

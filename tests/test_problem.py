@@ -4,10 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from algossip.algo import FEAS_TOL, PenaltySchedule, Variant, run_outer
+from algossip.baseline import run_ps
 from algossip.errors import NonConvergence
-from algossip.problem import (LogRegInstance, QuadConsensusInstance,
-                              centralized_oracle, err_f, gen_logreg,
-                              instance_text, load_instance, save_instance)
+from algossip.graph import Supergraph
+from algossip.problem import (LogRegInstance, ProblemInstance,
+                              QuadConsensusInstance, centralized_oracle,
+                              err_f, gen_logreg, instance_text, load_instance,
+                              save_instance)
 
 # Frozen reference for the desk-scale classification instance
 # (5 nodes, 5 features, 5 samples/node, noise 0.1, seed 1), computed with
@@ -176,7 +180,7 @@ class TestGenLogReg:
         inst = gen_logreg(5, 5, 5, 0.1, seed=1)
         z, _ = inst.reference_solution()
         # radii were inflated around the unconstrained solve
-        assert inst.is_feasible(z, tol=1e-9)
+        assert inst.all_feasible(z[None], tol=1e-9)
 
 
 class TestCentralizedOracle:
@@ -386,3 +390,173 @@ class TestLogRegCallbacksBitForBit:
         before = x.copy()
         SPARSE.node_value(i, x)
         assert same_bits(x, before)
+
+
+# --------------------------------------------------------------------------
+# Whole-network callbacks against the per-node ones
+# --------------------------------------------------------------------------
+# Checkpoints and the ps baseline evaluate every node at once; each entry
+# must carry the bits of the per-node callback it replaces.
+
+NEAR_TOL = [0.0, 0.5 * FEAS_TOL, FEAS_TOL, FEAS_TOL * (1 - 1e-6),
+            FEAS_TOL * (1 + 1e-6), 2 * FEAS_TOL, 1.0]
+
+
+@st.composite
+def network_instances(draw):
+    """A logreg instance (sparse features, one sample per node allowed,
+    l1 weight zero or not) or a quad instance with or without boxes and
+    with a zero-weight node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        samples, features = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        feats = rng.normal(size=(n, samples, features))
+        feats[rng.random(feats.shape) < 0.4] = 0.0
+        labels = rng.choice([-1.0, 1.0], size=(n, samples))
+        return LogRegInstance(feats, labels,
+                              draw(st.sampled_from([0.0, 0.7])),
+                              ball_sq=rng.uniform(0.05, 4.0, n),
+                              v_bound=rng.uniform(0.1, 2.0, n))
+    dim = draw(st.integers(1, 4))
+    weights = rng.uniform(0.5, 2.0, n)
+    weights[draw(st.integers(0, n - 1))] = 0.0
+    lo = hi = None
+    if draw(st.booleans()):
+        lo = rng.uniform(-2.0, 0.0, (n, dim))
+        hi = lo + rng.uniform(0.0, 3.0, (n, dim))
+    return QuadConsensusInstance(rng.normal(size=(n, dim)), lo=lo, hi=hi,
+                                 weights=weights)
+
+
+def boundary_points(inst, nudge):
+    """Points on the boundary of the tightest node set, then pushed out
+    by ``nudge``: on the ball and the interval for logreg, on the box
+    corners for quad (for an unboxed quad, the targets)."""
+    if isinstance(inst, QuadConsensusInstance):
+        if inst.lo is None:
+            return inst.targets + nudge
+        return np.stack([inst.lo.max(axis=0) - nudge,
+                         inst.hi.min(axis=0) + nudge])
+    on_ball = np.zeros((3, inst.dim))
+    radius = np.sqrt(inst.ball_sq.min())
+    on_ball[0, 0] = radius + nudge
+    on_ball[1, :-1] = (radius + nudge) / np.sqrt(inst.dim - 1)
+    vmax = inst.v_bound.min()
+    on_ball[2, -1] = -vmax - nudge
+    return on_ball
+
+
+@st.composite
+def network_points(draw, inst, rows=None):
+    """Estimates anywhere, with exact zeros of either sign (the l1
+    kinks), at three scales."""
+    rows = rows or draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    flat = draw(st.lists(ENTRY, min_size=rows * inst.dim,
+                         max_size=rows * inst.dim))
+    return np.array(flat).reshape(rows, inst.dim) * scale
+
+
+def old_err_f(inst, xs, fstar):
+    """err_f as it was: one global_value per estimate."""
+    return float(np.mean([inst.global_value(x) - fstar for x in xs]))
+
+
+def old_all_feasible(inst, xs, tol):
+    """all_feasible as it was: one node_feasible call per (estimate, node)."""
+    return all(inst.node_feasible(i, x, tol)
+               for x in xs for i in range(inst.n_nodes))
+
+
+class TestWholeNetworkCallbacks:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_entry_matches_the_per_node_callback(self, data):
+        inst = data.draw(network_instances())
+        X = data.draw(network_points(inst))
+        values = inst.values(X)
+        distances = inst.set_distances(X)
+        assert values.shape == distances.shape == (inst.n_nodes, len(X))
+        for i in range(inst.n_nodes):
+            for j, x in enumerate(X):
+                assert same_bits(values[i, j], inst.node_value(i, x))
+                assert same_bits(distances[i, j], np.linalg.norm(
+                    inst.node_project(i, x) - x))
+        X = data.draw(network_points(inst, rows=inst.n_nodes))
+        before = X.copy()
+        subgradients, projections = inst.subgradients(X), inst.project(X)
+        assert same_bits(X, before)
+        for out in (subgradients, projections):
+            assert not np.shares_memory(out, X)
+        for i, x in enumerate(X):
+            assert same_bits(subgradients[i], inst.node_subgradient(i, x))
+            assert same_bits(projections[i], inst.node_project(i, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fstar=st.floats(-50.0, 50.0))
+    def test_err_f_matches_the_per_estimate_sum(self, data, fstar):
+        inst = data.draw(network_instances())
+        X = data.draw(network_points(inst))
+        assert same_bits(err_f(inst, X, fstar), old_err_f(inst, X, fstar))
+        assert same_bits(err_f(inst, list(X), fstar),
+                         old_err_f(inst, X, fstar))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), nudge=st.sampled_from(NEAR_TOL),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_all_feasible_matches_the_per_node_loop(self, data, nudge, sign):
+        inst = data.draw(network_instances())
+        points = np.concatenate([boundary_points(inst, sign * nudge),
+                                 data.draw(network_points(inst)),
+                                 np.zeros((1, inst.dim))])
+        for X in [points, *points[:, None]]:
+            assert inst.all_feasible(X, FEAS_TOL) == \
+                old_all_feasible(inst, X, FEAS_TOL)
+
+    def test_boundary_and_tolerance_cases_are_decided_as_before(self):
+        # the cases the property test may miss, stated once by hand
+        box = QuadConsensusInstance([[0.0], [1.0]], lo=[[0.0], [-1.0]],
+                                    hi=[[1.0], [2.0]])
+        logreg = LogRegInstance(np.ones((1, 2, 2)), np.ones((1, 2)), 0.1,
+                                ball_sq=[2.0], v_bound=[0.5])
+        cases = [(box, [1.0], True), (box, [0.0], True),
+                 (box, [-FEAS_TOL], True), (box, [-2 * FEAS_TOL], False),
+                 (logreg, [1.0, 1.0, 0.5], True),
+                 (logreg, [1.0, 1.0, 0.5 + FEAS_TOL], True),
+                 (logreg, [1.0, 1.0, -0.5 - 2 * FEAS_TOL], False),
+                 (logreg, [2.0, 0.0, 0.0], False)]
+        for inst, x, want in cases:
+            xs = np.array([x])
+            assert inst.all_feasible(xs, FEAS_TOL) is want
+            assert old_all_feasible(inst, xs, FEAS_TOL) is want
+
+    @pytest.mark.parametrize("family", [QuadConsensusInstance,
+                                        LogRegInstance])
+    def test_no_family_overrides_the_checkpoint_seam(self, family):
+        assert "all_feasible" not in vars(family)
+        assert "values" in vars(family) and "set_distances" in vars(family)
+
+    @pytest.mark.parametrize("runner", ["alg", "ps"])
+    def test_checkpoints_call_all_feasible_once_per_row(self, runner,
+                                                        monkeypatch):
+        calls = []
+        seam = ProblemInstance.all_feasible
+
+        def counted(self, xs, tol=1e-9):
+            calls.append(tol)
+            return seam(self, xs, tol)
+
+        monkeypatch.setattr(ProblemInstance, "all_feasible", counted)
+        inst = gen_logreg(3, 2, 2, 0.1, seed=4, ref_budget=200)
+        graph = Supergraph(3, [(0, 1), (1, 2)])
+        if runner == "ps":
+            log, _ = run_ps(inst, graph, None, alpha=1e-2, rounds=25,
+                            seed=0, fstar=1.0, checkpoint_every=4)
+        else:
+            log, _ = run_outer(inst, graph, Variant.ALG,
+                               PenaltySchedule.fixed(1.0), t_outer=2,
+                               k_inner=30, seed=0, fstar=1.0,
+                               checkpoint_every=7)
+        assert len(log.rows) > 3
+        assert calls == [FEAS_TOL] * len(log.rows)
