@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, KindError, NumericError
-from .events import (Event, EventDistribution, EventKind, Variant,
-                     event_distribution, sample_event, sample_mg_event)
+from .events import (Event, EventDistribution, EventKind, UniformStream,
+                     Variant, event_distribution, sample_event,
+                     sample_mg_event)
 from .graph import FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
 from .problem import ProblemInstance, err_f
@@ -150,6 +151,15 @@ class ALGState:
     Penalties come as a ``(2, num_arcs)`` array: row 0 holds each arc's
     tie-constraint (``mu``) penalty, row 1 its link-constraint (``lam``)
     penalty.
+
+    ``node_dirty[i]`` and ``link_dirty[a]`` say whether an input of node
+    block ``i`` or link block ``a`` may have changed since the block was
+    last minimized; a clean block is not re-minimized, because an exact
+    block minimization with unchanged inputs returns what it returned
+    before. ``reset_movement()`` marks every block dirty. The run loop calls
+    it at every slot start, after the dual step and any penalty change;
+    code that writes ``x``, ``y``, ``y_recv``, ``mu`` or ``lam`` directly
+    must call it too.
     """
 
     def __init__(self, problem: ProblemInstance, graph: Supergraph):
@@ -170,8 +180,11 @@ class ALGState:
         self.final = None
 
     def reset_movement(self) -> None:
+        """Start a slot: no block re-minimized yet, every block dirty."""
         self.x_move = [np.inf] * self.graph.n
         self.y_move = [np.inf] * self.graph.num_arcs
+        self.node_dirty = [True] * self.graph.n
+        self.link_dirty = [True] * self.graph.num_arcs
 
     def converged(self, tol: float) -> bool:
         """Every block moved less than ``tol`` when last re-minimized and
@@ -271,19 +284,34 @@ class ALBGState:
 
 @dataclass
 class Counters:
-    """Cumulative fast-scale counters for one run."""
+    """Cumulative fast-scale counters for one run, including the node and
+    link block minimizations skipped because the block was clean."""
 
     k: int = 0
     transmissions: int = 0
     flops: int = 0
+    node_skips: int = 0
+    link_skips: int = 0
 
 
 # --------------------------------------------------------------------------
 # Inner (fast-scale) steps
 # --------------------------------------------------------------------------
 
+def _changed(new: np.ndarray, old: np.ndarray, moved: float) -> bool:
+    """Whether ``new`` differs from ``old`` in any byte. A subnormal step
+    can square to zero, and -0.0 == 0.0, so a zero ``moved`` alone does
+    not prove the block kept its value."""
+    return moved != 0.0 or new.tobytes() != old.tobytes()
+
+
 def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
                     inner_tol: float | None, counters: Counters) -> float:
+    if not state.node_dirty[i]:
+        state.x_move[i] = 0.0
+        counters.node_skips += 1
+        return 0.0
+    state.node_dirty[i] = False
     arcs = state.graph.out_slice[i]
     rho = rho_mu[arcs]
     terms = state.mu[arcs] - np.array(rho)[:, None] * state.y[arcs]
@@ -299,6 +327,9 @@ def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
                         counters=counters)
     d = new - state.x[i]
     moved = math.sqrt(d.dot(d))
+    if _changed(new, state.x[i], moved):
+        # every link block of node i reads x[i]
+        state.link_dirty[arcs] = [True] * len(rho)
     state.x[i] = new
     state.x_move[i] = moved
     return moved
@@ -307,18 +338,31 @@ def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
 def _deliver_and_update(state: ALGState, inbound: int, rho_mu, rho_lam,
                         counters: Counters) -> float:
     """The receiver of arc ``inbound`` stores the incoming link value and
-    re-minimizes its own link block toward the sender."""
+    re-minimizes its own link block toward the sender. When that block is
+    clean, the receiver's copy already holds the bytes of ``y[inbound]``
+    (a change there would have dirtied the block) and nothing is done."""
     g = state.graph
-    out = g.arc_rev[inbound]
-    state.y_recv[inbound] = state.y[inbound]
+    out = g.rev_of[inbound]
     state.stale[inbound] = 0.0
+    if not state.link_dirty[out]:
+        state.y_move[out] = 0.0
+        counters.link_skips += 1
+        return 0.0
+    state.link_dirty[out] = False
+    state.y_recv[inbound] = state.y[inbound]
+    owner = g.src_of[out]
     new = y_closed_form_peredge(
-        state.x[g.arc_src[out]], state.y_recv[inbound],
+        state.x[owner], state.y_recv[inbound],
         state.mu[out], state.lam[out], rho_lam[out], rho_mu[out],
-        g.arc_sign[out],
+        g.sign_of[out],
     )
     d = new - state.y[out]
     moved = math.sqrt(d.dot(d))
+    if _changed(new, state.y[out], moved):
+        # the owner's node block reads y[out]; the sender's link block
+        # reads the owner's next delivery of it
+        state.node_dirty[owner] = True
+        state.link_dirty[inbound] = True
     state.stale[out] += moved
     state.y[out] = new
     state.y_move[out] = moved
@@ -537,11 +581,13 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
               fstar: float | None = None,
               inner_budget: int = 50, inner_tol: float | None = None,
               inner_stop_tol: float | None = None,
-              checkpoint_every: int = 100) -> tuple[MetricsLog, object]:
+              checkpoint_every: int = 100,
+              counters: Counters | None = None) -> tuple[MetricsLog, object]:
     """Full two-time-scale run: alternate the fast-scale sweep and the
     multiplier step ``t_outer`` times, logging metrics at every outer
     boundary and every ``checkpoint_every`` inner events. Deterministic for
-    a fixed seed."""
+    a fixed seed. The run's totals accumulate into ``counters`` when one
+    is given."""
     if t_outer < 0 or k_inner < 0:
         raise ConfigError("t_outer and k_inner must be nonnegative")
     if checkpoint_every < 0:
@@ -560,8 +606,8 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
         raise ConfigError("per-dual adaptive penalties are not defined for "
                           "the aggregated-dual broadcast variant")
 
-    rng = np.random.default_rng(seed)
-    counters = Counters()
+    rng = UniformStream(np.random.default_rng(seed))
+    counters = counters if counters is not None else Counters()
     state = make_state(variant, problem, graph)
     dist = event_distribution(graph, failures, variant)
     log = MetricsLog()

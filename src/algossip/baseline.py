@@ -95,6 +95,9 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
     if checkpoint_every < 0:
         raise ConfigError(f"checkpoint_every must be nonnegative, got "
                           f"{checkpoint_every}")
+    if problem.n_nodes != graph.n:
+        raise ConfigError(f"problem has {problem.n_nodes} nodes but the "
+                          f"graph has {graph.n}")
     if failures is None:
         failures = FailureModel.always_on(graph)
     rng = np.random.default_rng(seed)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -109,6 +110,24 @@ def event_distribution(graph: Supergraph, failures: FailureModel,
 
     outcomes = tuple(Event(EventKind.BG_UPDATE, node=i) for i in range(n))
     return EventDistribution(outcomes, [1.0 / n] * n)
+
+
+class UniformStream:
+    """The doubles of successive ``rng.random()`` calls, drawn in blocks.
+
+    ``random()`` returns exactly what successive scalar calls on ``rng``
+    would: ``Generator.random(n)`` fills its array from the same bit
+    stream, one double per draw. One call into numpy then serves
+    ``BLOCK`` draws. The generator runs up to ``BLOCK - 1`` draws ahead of
+    the stream, so nothing else may draw from it while the stream is in
+    use.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(self.BLOCK).tolist(), None)
+        self.random = chain.from_iterable(blocks).__next__
 
 
 def sample_event(dist: EventDistribution, rng: np.random.Generator) -> Event:

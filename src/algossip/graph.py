@@ -83,6 +83,11 @@ class Supergraph:
         # Orientation sign of each arc's consensus term: + when the owner
         # has the smaller id (any fixed assignment of signs per edge works).
         self.arc_sign = np.where(self.arc_src < self.arc_dst, 1, -1)
+        # The same three columns as Python ints, for per-event lookups:
+        # indexing a tuple is cheaper than indexing a numpy array.
+        self.src_of: tuple[int, ...] = tuple(self.arc_src.tolist())
+        self.rev_of: tuple[int, ...] = tuple(self.arc_rev.tolist())
+        self.sign_of: tuple[int, ...] = tuple(self.arc_sign.tolist())
         self.edge_fwd = np.array([self.arc_id[e] for e in self.edges],
                                  dtype=int)
         ends = np.cumsum(self.degrees)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algo import (PenaltySchedule, Variant, default_inner_events, run_outer)
+from .algo import (Counters, PenaltySchedule, Variant, default_inner_events,
+                   run_outer)
 from .baseline import run_ps
 from .errors import ConfigError, ConnectivityFailure, DomainError, \
     MismatchError
@@ -352,16 +353,19 @@ def run(config: RunConfig | str, out_dir: str | None = None,
             cache = OracleCache(os.path.join(out_dir, "oracle_cache.json"))
     fstar = resolve_fstar(config, problem, inst_key, cache)
 
+    counters = None
     if algo == "ps":
         log, state = run_ps(problem, graph, failures, alpha, t_outer,
                             run_seed, fstar=fstar,
                             checkpoint_every=checkpoint)
     else:
+        counters = Counters()
         log, state = run_outer(
             problem, graph, Variant(algo), schedule, t_outer, k_inner,
             run_seed, failures=failures, fstar=fstar,
             inner_budget=inner_budget, inner_tol=inner_tol,
             inner_stop_tol=stop_tol, checkpoint_every=checkpoint,
+            counters=counters,
         )
     final_x = state.x
 
@@ -374,6 +378,11 @@ def run(config: RunConfig | str, out_dir: str | None = None,
         "fstar": fstar,
         "manifest_hash": manifest_hash(config.sections, run_seed),
     }
+    if counters is not None:
+        # block minimizations skipped because the block was clean; not
+        # part of the trace or of manifest_hash
+        manifest["skipped_blocks"] = {"node": counters.node_skips,
+                                      "link": counters.link_skips}
     if out_dir is not None:
         base = os.path.join(out_dir, config.name)
         log.to_csv(base + "_trace.csv")

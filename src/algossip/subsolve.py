@@ -163,11 +163,23 @@ def y_closed_form_peredge(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,
     ``y_ji/2 + x_i/2 + (mu - sign*lam) / (2 rho)``. ``sign`` is the
     orientation sign of the link's consensus term (+1 when the owner has
     the smaller id).
+
+    The numerator is accumulated in place, left to right. ``sign`` is +-1,
+    so subtracting or adding ``lam`` gives the bits of ``- sign*lam``
+    (IEEE defines ``a - b`` as ``a + (-b)``).
     """
     denom = rho_lam + rho_mu
     if denom <= 0:
         raise DomainError(f"penalty sum must be positive, got {denom}")
-    return (rho_mu * x_i + rho_lam * y_ji + mu - sign * lam) / denom
+    out = rho_mu * x_i
+    out += rho_lam * y_ji
+    out += mu
+    if sign > 0:
+        out -= lam
+    else:
+        out += lam
+    out /= denom
+    return out
 
 
 def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,

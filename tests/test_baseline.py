@@ -133,6 +133,11 @@ class TestRunPSInput:
         with pytest.raises(ConfigError, match=match):
             run_ps(inst, path3_graph, None, **{**args, **kw})
 
+    def test_node_count_must_match_the_graph(self, pair_graph):
+        inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
+        with pytest.raises(ConfigError, match="3 nodes but the graph has 2"):
+            run_ps(inst, pair_graph, None, alpha=0.05, rounds=10, seed=0)
+
     def test_flops_count_local_steps_and_sends(self, path3_graph):
         inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
         log, state = run_ps(inst, path3_graph, None, alpha=0.05, rounds=7,

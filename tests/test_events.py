@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from algossip.events import (Event, EventDistribution, EventKind, Variant,
-                             event_distribution, sample_event,
-                             sample_mg_event)
+from algossip.events import (Event, EventDistribution, EventKind,
+                             UniformStream, Variant, event_distribution,
+                             sample_event, sample_mg_event)
 from algossip.graph import FailureModel, build_geometric
 
 
@@ -149,3 +149,33 @@ class TestMultiNeighborSampling:
             ev = sample_mg_event(1, path3_graph, failures, rng)
             sizes[0 if ev.kind is EventKind.VOID else len(ev.receivers)] += 1
         np.testing.assert_allclose(sizes / n, [0.25, 0.5, 0.25], atol=0.01)
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**31 - 1])
+    def test_yields_successive_scalar_draws(self, seed):
+        """Across three refills, the stream returns the doubles that scalar
+        ``random()`` calls on an identically seeded generator return."""
+        stream = UniformStream(np.random.default_rng(seed))
+        scalar = np.random.default_rng(seed)
+        draws = 3 * UniformStream.BLOCK + 5
+        got = [stream.random() for _ in range(draws)]
+        want = [scalar.random() for _ in range(draws)]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_samplers_draw_the_same_events_from_it(self):
+        graph = build_geometric(8, 0.6, seed=3)
+        failures = FailureModel.uniform(graph, 0.6)
+        dist = event_distribution(graph, failures, Variant.ALMG)
+        events = []
+        for rng in (np.random.default_rng(5),
+                    UniformStream(np.random.default_rng(5))):
+            drawn = []
+            for _ in range(3000):  # about 10,000 draws: two refills
+                ev = sample_event(dist, rng)
+                if ev.kind is EventKind.MG_BROADCAST:
+                    ev = sample_mg_event(ev.node, graph, failures, rng)
+                drawn.append(ev)
+            events.append(drawn)
+        assert events[0] == events[1]

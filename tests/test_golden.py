@@ -29,13 +29,36 @@ def test_golden_set_is_complete():
             assert (GOLDEN / (cfg.stem + suffix)).is_file()
 
 
+def describe_difference(name: str, got: bytes, want: bytes) -> str:
+    """Where two outputs differ: the first differing line, and the columns
+    that differ on any line. Trace columns are named by the CSV header,
+    state columns by position (0 is the node id)."""
+    sep = "," if name.endswith(".csv") else None
+    got_rows = [r.split(sep) for r in got.decode().splitlines()]
+    want_rows = [r.split(sep) for r in want.decode().splitlines()]
+    header = want_rows[0] if sep and want_rows else []
+    pairs = list(zip(got_rows, want_rows))
+    first = next((i for i, (g, w) in enumerate(pairs) if g != w), len(pairs))
+    columns = sorted({c for g, w in pairs for c in range(max(len(g), len(w)))
+                      if g[c:c + 1] != w[c:c + 1]})
+    names = [header[c] if c < len(header) else str(c) for c in columns]
+    lines = [f"{name} differs from its pin from line {first + 1}"
+             f" ({len(got_rows)} lines, {len(want_rows)} pinned)",
+             f"  columns that differ: {', '.join(names) or 'none'}"]
+    for label, rows in (("got", got_rows), ("pin", want_rows)):
+        if first < len(rows):
+            lines.append(f"  {label}: {' '.join(rows[first])}")
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: p.stem)
 def test_run_reproduces_pinned_bytes(cfg, tmp_path):
     harness.run(str(cfg), out_dir=str(tmp_path))
     for suffix in OUTPUTS:
         name = cfg.stem + suffix
-        assert (tmp_path / name).read_bytes() == \
-            (GOLDEN / name).read_bytes(), f"{name} differs from its pin"
+        got = (tmp_path / name).read_bytes()
+        want = (GOLDEN / name).read_bytes()
+        assert got == want, describe_difference(name, got, want)
 
 
 def regenerate(scratch: Path) -> None:

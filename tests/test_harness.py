@@ -1,13 +1,15 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from algossip import harness
+from algossip import algo, harness
 from algossip.cli import main as cli_main
 from algossip.errors import ConfigError, MismatchError
+from algossip.events import EventKind
 from algossip.metrics import MetricsLog, MetricsRow, write_atomic
 from algossip.problem import err_f
 
@@ -171,6 +173,57 @@ fstar = auto
         res = harness.run(cfg)
         assert math.isnan(res.log.rows[-1].L_value)
         assert res.log.rows[-1].err_f < 0.1
+
+
+class TestSkipCounts:
+    """The manifest's skip counts, checked against events and solver calls
+    counted at the seams the run loop calls through ``algo``."""
+
+    @pytest.mark.parametrize("name", ["alg_adaptive_logreg",
+                                      "almg_fixed_quad"])
+    def test_skips_and_solves_cover_every_block_event(self, name, tmp_path,
+                                                      monkeypatch):
+        seen = dict(x_events=0, delivered=0, solves=0, links=0)
+
+        def sampler(fn):
+            def wrapper(*args):
+                ev = fn(*args)
+                if ev.kind is EventKind.X_UPDATE:
+                    seen["x_events"] += 1
+                elif ev.kind is EventKind.Y_TRANSFER:
+                    seen["delivered"] += 1
+                elif ev.receivers:  # a resolved broadcast
+                    seen["delivered"] += len(ev.receivers)
+                return ev
+            return wrapper
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                seen[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr in ("sample_event", "sample_mg_event"):
+            monkeypatch.setattr(algo, attr, sampler(getattr(algo, attr)))
+        monkeypatch.setattr(algo, "solve_x_block",
+                            counted(algo.solve_x_block, "solves"))
+        monkeypatch.setattr(algo, "y_closed_form_peredge",
+                            counted(algo.y_closed_form_peredge, "links"))
+        cfg = Path(__file__).resolve().parent / "golden" / f"{name}.cfg"
+        res = harness.run(str(cfg), out_dir=str(tmp_path))
+
+        with open(tmp_path / f"{name}_manifest.json") as fh:
+            skipped = json.load(fh)["skipped_blocks"]
+        assert skipped == res.manifest["skipped_blocks"]
+        assert skipped["node"] > 0 and skipped["link"] > 0
+        assert skipped["node"] + seen["solves"] == seen["x_events"]
+        assert skipped["link"] + seen["links"] == seen["delivered"]
+        # kept out of everything that is hashed or pinned
+        cfg_parsed = harness.parse_config(str(cfg))
+        assert res.manifest["manifest_hash"] == harness.manifest_hash(
+            cfg_parsed.sections, res.manifest["seed"])
+        header = (tmp_path / f"{name}_trace.csv").read_text().split("\n")[0]
+        assert "skip" not in header
 
 
 class TestReliableLinks:

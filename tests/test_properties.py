@@ -1,16 +1,22 @@
-"""Property tests of the arc-id layout and the paper's invariants on random
-connected geometric graphs with uneven degrees (2 to 7 nodes)."""
+"""Property tests of the arc-id layout, the paper's invariants and the
+dirty-block rule on random connected geometric graphs with uneven degrees
+(2 to 7 nodes)."""
+
+import copy
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algossip import algo
 from algossip.algo import (Counters, PenaltySchedule, Variant,
-                           dual_update_alg, dual_update_bg, lagrangian_eval,
-                           make_state, run_inner, run_outer)
-from algossip.events import event_distribution
+                           dual_update_alg, dual_update_bg, inner_step_alg,
+                           lagrangian_eval, make_state, run_inner, run_outer)
+from algossip.events import Event, EventKind, event_distribution
 from algossip.graph import FailureModel, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
+from algossip.subsolve import y_closed_form_peredge
 
 GRAPHS = st.builds(build_geometric, n=st.integers(2, 7),
                    radius=st.floats(0.5, 0.9), seed=st.integers(0, 10_000))
@@ -18,10 +24,12 @@ SEEDS = st.integers(0, 2**31 - 1)
 GOSSIP = (Variant.ALG, Variant.ALMG)
 
 
-def instance(graph, seed):
+def instance(graph, seed, boxed=True):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(1, 4))
     targets = rng.normal(size=(graph.n, dim))
+    if not boxed:
+        return QuadConsensusInstance(targets)
     return QuadConsensusInstance(targets, lo=np.full_like(targets, -0.8),
                                  hi=np.full_like(targets, 0.8))
 
@@ -58,6 +66,9 @@ def test_arc_layout_matches_arc_order(graph):
         assert graph.arcs[graph.arc_rev[a]] == (j, i)
         assert graph.arc_sign[a] == -graph.arc_sign[graph.arc_rev[a]]
         assert graph.arc_sign[a] == (1 if i < j else -1)
+    assert graph.src_of == tuple(graph.arc_src.tolist())
+    assert graph.rev_of == tuple(graph.arc_rev.tolist())
+    assert graph.sign_of == tuple(graph.arc_sign.tolist())
     for i in range(graph.n):
         out = graph.arcs[graph.out_slice[i]]
         assert tuple(j for _, j in out) == graph.neighbors[i]
@@ -162,3 +173,148 @@ def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
                 dual_update_bg(state, pen)
             else:
                 dual_update_alg(state, pen)
+
+
+@contextmanager
+def watched(state):
+    """Wrap the samplers and block solvers that ``run_inner`` calls through
+    ``algo``. ``seen`` holds the last sampled event, the dirty flags when
+    it was drawn, and the node and link solves since then."""
+    seen = {}
+    names = ("sample_event", "sample_mg_event", "solve_x_block",
+             "y_closed_form_peredge")
+    originals = {name: getattr(algo, name) for name in names}
+
+    def sampler(fn):
+        def wrapper(*args):
+            ev = fn(*args)
+            seen.update(event=ev, solves=0, links=0,
+                        node_dirty=list(state.node_dirty),
+                        link_dirty=list(state.link_dirty))
+            return ev
+        return wrapper
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    algo.sample_event = sampler(originals["sample_event"])
+    algo.sample_mg_event = sampler(originals["sample_mg_event"])
+    algo.solve_x_block = counted(originals["solve_x_block"], "solves")
+    algo.y_closed_form_peredge = counted(originals["y_closed_form_peredge"],
+                                         "links")
+    try:
+        yield seen
+    finally:
+        for name, fn in originals.items():
+            setattr(algo, name, fn)
+
+
+def node_inputs(state, i, pen):
+    """Everything node block i reads, the warm start included."""
+    arcs = state.graph.out_slice[i]
+    return (state.mu[arcs].tobytes(), state.y[arcs].tobytes(),
+            pen[:, arcs].tobytes(), state.x[i].tobytes())
+
+
+def link_inputs(state, out, pen):
+    """Everything link block ``out`` reads: its owner's estimate, the
+    sender's link value its next delivery copies, duals and penalties."""
+    g = state.graph
+    return (state.x[g.src_of[out]].tobytes(), state.y[g.rev_of[out]].tobytes(),
+            state.mu[out].tobytes(), state.lam[out].tobytes(),
+            pen[:, out].tobytes())
+
+
+def resolved_node(state, i, pen):
+    """Node i re-minimized from the current state, on a copy."""
+    probe = copy.copy(state)
+    probe.x = state.x.copy()
+    probe.reset_movement()  # fresh flag lists, on the probe only
+    inner_step_alg(probe, Event(EventKind.X_UPDATE, node=i), pen)
+    return probe.x[i]
+
+
+def check_event(state, seen, pen, last, closed_form_nodes):
+    """A clean block was skipped, and only a clean one; a skipped block's
+    inputs are those of its last minimization, and a closed-form block
+    re-solved now keeps its value bit for bit."""
+    g, ev = state.graph, seen["event"]
+    if ev.kind is EventKind.X_UPDATE:
+        i, dirty = ev.node, seen["node_dirty"][ev.node]
+        assert seen["solves"] == dirty
+        if dirty:
+            last["node", i] = node_inputs(state, i, pen)
+            return
+        assert node_inputs(state, i, pen) == last["node", i]
+        if closed_form_nodes:
+            assert resolved_node(state, i, pen).tobytes() == \
+                state.x[i].tobytes()
+        return
+    inbound = ([ev.arc] if ev.kind is EventKind.Y_TRANSFER
+               else list(ev.receivers or ()))
+    outs = [g.rev_of[a] for a in inbound]
+    assert seen["links"] == sum(seen["link_dirty"][o] for o in outs)
+    for a, o in zip(inbound, outs):
+        assert state.y_recv[a].tobytes() == state.y[a].tobytes()
+        if seen["link_dirty"][o]:
+            last["link", o] = link_inputs(state, o, pen)
+            continue
+        assert link_inputs(state, o, pen) == last["link", o]
+        again = y_closed_form_peredge(
+            state.x[g.src_of[o]], state.y_recv[a], state.mu[o],
+            state.lam[o], pen[1, o], pen[0, o], g.sign_of[o])
+        assert again.tobytes() == state.y[o].tobytes()
+
+
+KINDS = ("quad", "quad_box", "logreg")
+
+
+def dirty_instance(kind, graph, seed):
+    if kind == "logreg":
+        return logreg_instance(graph, seed)
+    return instance(graph, seed, boxed=kind == "quad_box")
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(GOSSIP),
+       kind=st.sampled_from(KINDS), seed=SEEDS, rho=st.floats(0.2, 4.0),
+       p=st.floats(0.3, 1.0))
+def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
+                                              rho, p):
+    inst = dirty_instance(kind, graph, seed)
+    failures = FailureModel.uniform(graph, p)
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, inst, graph)
+    assert all(state.node_dirty) and all(state.link_dirty)
+    rng = np.random.default_rng(seed)
+    counters = Counters()
+    with watched(state) as seen:
+        for t in range(3):
+            pen = penalty(variant, graph, rho * (1 + t))
+            last = {}
+            run_inner(state, variant, graph, failures, dist, pen, rng,
+                      counters, 150, inner_budget=5,
+                      on_event=lambda: check_event(state, seen, pen, last,
+                                                   kind != "logreg"))
+            dual_update_alg(state, pen)
+
+
+@settings(max_examples=20, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(GOSSIP),
+       kind=st.sampled_from(KINDS), seed=SEEDS, k=st.integers(0, 80))
+def test_reset_movement_marks_every_block_dirty(graph, variant, kind, seed,
+                                                k):
+    inst = dirty_instance(kind, graph, seed)
+    failures = FailureModel.uniform(graph, 0.7)
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, inst, graph)
+    rng = np.random.default_rng(seed)
+    run_inner(state, variant, graph, failures, dist, penalty(variant, graph,
+                                                             1.5),
+              rng, Counters(), k, inner_budget=5)
+    state.reset_movement()
+    assert state.node_dirty == [True] * graph.n
+    assert state.link_dirty == [True] * graph.num_arcs

@@ -103,6 +103,33 @@ class TestYClosedFormPerEdge:
             b = 0.5 * y_ji + 0.5 * x_i + (mu - sign * lam) / (2.0 * rho)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_bits_of_the_plain_formula(self):
+        """In place, with the sign applied as -= or +=, the closed form
+        keeps every bit of the one-expression formula, for either sign
+        given as a Python or a numpy int."""
+        rng = np.random.default_rng(9)
+        for _ in range(2000):
+            m = int(rng.integers(1, 5))
+            x_i, y_ji, mu, lam = rng.normal(size=(4, m)) * 10.0 ** \
+                rng.integers(-8, 8, size=(4, 1))
+            rho_lam, rho_mu = rng.uniform(0.01, 50.0, size=2).tolist()
+            sign = rng.choice(np.array([-1, 1]))
+            plain = (rho_mu * x_i + rho_lam * y_ji + mu - sign * lam) / (
+                rho_lam + rho_mu)
+            for s in (sign, int(sign)):
+                got = y_closed_form_peredge(x_i, y_ji, mu, lam, rho_lam,
+                                            rho_mu, s)
+                assert got.tobytes() == plain.tobytes()
+
+    def test_inputs_are_not_written(self):
+        args = [np.array([1.0, -2.0]), np.array([0.5, 3.0]),
+                np.array([0.25, 0.0]), np.array([-1.0, 4.0])]
+        before = [a.copy() for a in args]
+        for sign in (1, -1):
+            y_closed_form_peredge(*args, 2.0, 3.0, sign)
+        for a, b in zip(args, before):
+            np.testing.assert_array_equal(a, b)
+
     def test_weighted_average_with_zero_duals(self):
         y = y_closed_form_peredge(np.array([0.0]), np.array([4.0]),
                                   np.zeros(1), np.zeros(1),
