@@ -525,8 +525,6 @@ def _event_step(state, variant: Variant, graph: Supergraph,
     if variant is Variant.ALG:
         return lambda: inner_step_alg(state, sample_event(dist, rng), pen,
                                       inner_budget, inner_tol, counters)
-    if variant is not Variant.ALMG:
-        raise ConfigError(f"unknown variant {variant}")
 
     def step():
         ev = sample_event(dist, rng)
@@ -575,6 +573,19 @@ def make_state(variant: Variant, problem: ProblemInstance,
     return ALGState(problem, graph)
 
 
+def check_variant(variant: str, schedule: PenaltySchedule,
+                  reliable: bool) -> None:
+    """Reject an algorithm (a :class:`Variant` or ``"ps"``) that cannot run
+    with these penalties and links: the broadcast variant needs reliable
+    links and has no per-dual adaptive penalties."""
+    if variant == Variant.ALBG and not reliable:
+        raise ConfigError("the broadcast variant requires reliable links "
+                          "(success probability 1 on every arc)")
+    if variant == Variant.ALBG and schedule.kind == "adaptive":
+        raise ConfigError("per-dual adaptive penalties are not defined for "
+                          "the aggregated-dual broadcast variant")
+
+
 def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
               schedule: PenaltySchedule, t_outer: int, k_inner: int,
               seed: int, failures: FailureModel | None = None,
@@ -599,12 +610,7 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     variant = Variant(variant)
     if failures is None:
         failures = FailureModel.always_on(graph)
-    if variant is Variant.ALBG and not failures.reliable:
-        raise ConfigError("the broadcast variant requires reliable links "
-                          "(success probability 1 on every arc)")
-    if variant is Variant.ALBG and schedule.kind == "adaptive":
-        raise ConfigError("per-dual adaptive penalties are not defined for "
-                          "the aggregated-dual broadcast variant")
+    check_variant(variant, schedule, failures.reliable)
 
     rng = UniformStream(np.random.default_rng(seed))
     counters = counters if counters is not None else Counters()

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class AlgossipError(Exception):
@@ -27,7 +27,3 @@ class MismatchError(AlgossipError, ValueError):
 
 class NumericError(AlgossipError, ArithmeticError):
     """A trajectory produced non-finite values."""
-
-
-class NonConvergence(UserWarning):
-    """An iterative solver hit its budget while still making progress."""

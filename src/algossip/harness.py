@@ -3,7 +3,8 @@
 A run is fully described by a flat key-value config with sections
 ``[problem]``, ``[graph]``, ``[algo]``, ``[run]`` plus a seed; unknown keys
 or sections are rejected so that every config reproduces exactly one
-trajectory. Outputs are a CSV trace, a JSON reproducibility manifest, and a
+trajectory. :func:`validate` checks a whole config before anything is
+built. Outputs are a CSV trace, a JSON reproducibility manifest, and a
 final-state dump.
 """
 
@@ -12,23 +13,23 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algo import (Counters, PenaltySchedule, Variant, default_inner_events,
-                   run_outer)
+from .algo import (Counters, PenaltySchedule, Variant, check_variant,
+                   default_inner_events, run_outer)
 from .baseline import run_ps
 from .errors import ConfigError, ConnectivityFailure, DomainError, \
     MismatchError
 from .graph import (FailureModel, Supergraph, build_geometric, load_network,
                     network_text)
 from .metrics import MetricsLog, write_atomic
-from .problem import (LogRegInstance, ProblemInstance, QuadConsensusInstance,
-                      centralized_oracle, err_f, gen_logreg, instance_text,
-                      load_instance)
+from .problem import (ProblemInstance, QuadConsensusInstance, gen_logreg,
+                      instance_text, load_instance)
 
 KNOWN_KEYS = {
     "problem": {"kind", "file", "nodes", "dim", "targets", "seed", "spread",
@@ -41,146 +42,244 @@ KNOWN_KEYS = {
 }
 
 ALGORITHMS = ("alg", "almg", "albg", "ps")
+# (test, wording) pairs for the ranges of numeric config values
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "positive")
+_COUNT = (lambda v: v >= 1, ">= 1")
 
 
 @dataclass
 class RunConfig:
-    """Validated config: a dict of string sections plus its source name."""
+    """A config as read: a dict of string sections plus its source name."""
 
     sections: dict[str, dict[str, str]]
     name: str = "run"
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        return self.sections.get(section, {}).get(key, default)
+
+@dataclass(frozen=True)
+class RunSpec:
+    """A validated config: every value parsed and every rule checked.
+    ``sections`` keeps the strings the values came from; the manifest
+    stores and hashes them. An optional key that is absent is None."""
+
+    name: str
+    sections: dict
+    kind: str  # quad, logreg or file
+    problem_file: str | None
+    nodes: int | None
+    dim: int | None
+    targets: tuple | None
+    problem_seed: int | None
+    spread: float
+    lo: float | None
+    hi: float | None
+    samples_per_node: int | None
+    noise_var: float
+    graph_file: str | None
+    radius: float | None
+    graph_seed: int | None
+    failures: str  # always_on, distance, uniform or from_file
+    failure_scale: float
+    failure_p: float | None
+    algo: str  # one of ALGORITHMS
+    schedule: PenaltySchedule
+    inner_budget: int
+    inner_tol: float | None
+    stop_tol: float | None
+    alpha: float | None
+    t_outer: int
+    k_inner: int | None  # None: default_inner_events of the graph
+    seed: int
+    checkpoint: int
+    fstar: float | str | None  # "auto", None (no error column) or a value
 
 
-def _require(cfg: RunConfig, section: str, key: str) -> str:
-    val = cfg.get(section, key)
-    if val is None:
-        raise ConfigError(f"[{section}] is missing required key {key!r}")
-    return val
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
 
 
-def _as_int(section, key, val) -> int:
+def _parse(what: str, val, kind=float):
+    """``val`` as an integer or a finite float; ``what`` names it."""
     try:
-        return int(val)
+        out = kind(val)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, "
-                          f"got {val!r}") from None
+        out = None
+    if out is None or not (kind is int or math.isfinite(out)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} must be {noun}, got {val!r}")
+    return out
 
 
-def _as_float(section, key, val) -> float:
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, "
-                          f"got {val!r}") from None
+class _Section:
+    """Typed reads of one config section. A missing required key, or a
+    malformed or out-of-range value, is a ConfigError; an optional key
+    without a default reads as None when it is absent or empty."""
+
+    def __init__(self, sections: dict[str, dict[str, str]], name: str):
+        _need(name in sections, f"config is missing section [{name}]")
+        self.name, self.body = name, sections[name]
+        unknown = sorted(self.body.keys() - KNOWN_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]")
+
+    def text(self, key, default=None, required=False, options=None):
+        val = self.body.get(key, default)
+        if val is None and required:
+            raise ConfigError(f"[{self.name}] is missing required key {key!r}")
+        if options is not None and val not in options:
+            raise ConfigError(f"[{self.name}] {key} must be one of "
+                              f"{', '.join(options)}, got {val!r}")
+        return val
+
+    def number(self, key, default=None, required=False, valid=None,
+               kind=float):
+        val = self.text(key, default, required)
+        if not val and not required and default is None:
+            return None
+        out = _parse(f"[{self.name}] {key}", val, kind)
+        if valid is not None and not valid[0](out):
+            raise ConfigError(f"[{self.name}] {key} must be {valid[1]}, "
+                              f"got {out}")
+        return out
+
+    def count(self, key, default=None, required=False, valid=_NONNEGATIVE):
+        return self.number(key, default, required, valid, int)
 
 
 def parse_config(path) -> RunConfig:
-    """Read and validate a config file (fail-fast on unknown fields)."""
+    """Read a config file into string sections, named after the file;
+    :func:`validate` checks them."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    sections: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in KNOWN_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        body = {}
-        for key, value in parser.items(section):
-            if key not in KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
-            body[key] = value.strip()
-        sections[section] = body
-    for required in ("problem", "graph", "algo", "run"):
-        if required not in sections:
-            raise ConfigError(f"config is missing section [{required}]")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+    except configparser.Error as exc:
+        raise ConfigError("malformed config file: "
+                          + " ".join(str(exc).split())) from None
+    sections = {section: {key: value.strip()
+                          for key, value in parser.items(section)}
+                for section in parser.sections()}
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return RunConfig(sections, name=name)
 
 
-def build_problem(cfg: RunConfig) -> ProblemInstance:
-    kind = _require(cfg, "problem", "kind")
-    if kind == "file":
-        return _checked("problem", load_instance,
-                        _require(cfg, "problem", "file"))
-    if kind == "quad":
-        n = _as_int("problem", "nodes", _require(cfg, "problem", "nodes"))
-        dim = _as_int("problem", "dim", _require(cfg, "problem", "dim"))
-        if n < 1 or dim < 1:
-            raise ConfigError(f"[problem] nodes and dim must be >= 1, got "
-                              f"{n} and {dim}")
-        targets_text = cfg.get("problem", "targets")
-        if targets_text is not None:
-            rows = [[_as_float("problem", "targets", v) for v in r.split()]
-                    for r in targets_text.split(";") if r.strip()]
-            if len(rows) != n or any(len(r) != dim for r in rows):
-                raise ConfigError(f"[problem] targets must be {n} rows of "
-                                  f"{dim} values")
-            targets = np.array(rows)
-        else:
-            seed = _as_int("problem", "seed",
-                           _require(cfg, "problem", "seed"))
-            spread = _as_float("problem", "spread",
-                               cfg.get("problem", "spread", "1.0"))
-            targets = _checked("problem", np.random.default_rng(seed).normal,
-                               0.0, spread, (n, dim))
-        lo = cfg.get("problem", "lo")
-        hi = cfg.get("problem", "hi")
-        lo_arr = hi_arr = None
-        if lo is not None or hi is not None:
-            if lo is None or hi is None:
-                raise ConfigError("[problem] lo and hi must be given together")
-            lo_arr = np.full((n, dim), _as_float("problem", "lo", lo))
-            hi_arr = np.full((n, dim), _as_float("problem", "hi", hi))
-        return _checked("problem", QuadConsensusInstance, targets, lo_arr,
-                        hi_arr)
-    if kind == "logreg":
-        return _checked(
-            "problem", gen_logreg,
-            _as_int("problem", "nodes", _require(cfg, "problem", "nodes")),
-            _as_int("problem", "dim", _require(cfg, "problem", "dim")),
-            _as_int("problem", "samples_per_node",
-                    _require(cfg, "problem", "samples_per_node")),
-            _as_float("problem", "noise_var",
-                      cfg.get("problem", "noise_var", "0.1")),
-            _as_int("problem", "seed", _require(cfg, "problem", "seed")),
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
+def validate(config: RunConfig | RunSpec | str) -> RunSpec:
+    """Parse and check a whole config before anything is built.
+
+    The one place where config strings become values. Every key present is
+    parsed, whether or not the run reads it. A missing or unknown section
+    or key, a malformed or out-of-range value, or values that cannot go
+    together (albg with links that can fail or with adaptive penalties)
+    raise :class:`ConfigError`. A path is read with :func:`parse_config`
+    first; a :class:`RunSpec` is returned as it is.
+    """
+    if isinstance(config, RunSpec):
+        return config
+    if not isinstance(config, RunConfig):
+        config = parse_config(config)
+    for section in config.sections:
+        _need(section in KNOWN_KEYS, f"unknown config section [{section}]")
+    p, g, a, r = (_Section(config.sections, s)
+                  for s in ("problem", "graph", "algo", "run"))
+    kind = p.text("kind", required=True, options=("quad", "logreg", "file"))
+    nodes = p.count("nodes", required=kind != "file", valid=_COUNT)
+    dim = p.count("dim", required=kind != "file", valid=_COUNT)
+    targets = p.text("targets")
+    if targets is not None:
+        targets = tuple(tuple(_parse("[problem] targets", v)
+                              for v in row.split())
+                        for row in targets.split(";") if row.strip())
+        _need(len(targets) == nodes and all(len(t) == dim for t in targets),
+              f"[problem] targets must be {nodes} rows of {dim} values")
+    lo, hi = p.number("lo"), p.number("hi")
+    _need((lo is None) == (hi is None),
+          "[problem] lo and hi must be given together")
+    _need(lo is None or lo <= hi, f"[problem] lo {lo} exceeds hi {hi}")
+    graph_file = g.text("file")
+    modes = (("from_file",) if graph_file is not None
+             else ("always_on", "distance", "uniform"))
+    failures = g.text("failures", modes[0], options=modes)
+    algo = a.text("name", required=True, options=ALGORITHMS)
+    schedule_kind = a.text("schedule", "power", options=(
+        "fixed", "power", "geometric", "adaptive"))
+    params = a.text("schedule_params", "1.3,1")
+    try:
+        schedule = getattr(PenaltySchedule, schedule_kind)(*(
+            _parse("[algo] schedule_params", x)
+            for x in params.split(",") if x.strip()))
+    except TypeError:
+        raise ConfigError(f"[algo] schedule_params {params!r} does not "
+                          f"match schedule {schedule_kind!r}") from None
+    except DomainError as exc:
+        raise ConfigError(f"[algo] {exc}") from None
+    k_inner, fstar = r.text("k_inner", "auto"), r.text("fstar", "auto")
+    spec = RunSpec(
+        name=config.name, sections=config.sections, kind=kind,
+        problem_file=p.text("file", required=kind == "file"),
+        nodes=nodes, dim=dim, targets=targets,
+        problem_seed=p.count("seed", required=(
+            kind == "logreg" or kind == "quad" and targets is None)),
+        spread=p.number("spread", "1.0", valid=_NONNEGATIVE),
+        lo=lo, hi=hi,
+        samples_per_node=p.count("samples_per_node",
+                                 required=kind == "logreg", valid=_COUNT),
+        noise_var=p.number("noise_var", "0.1", valid=_NONNEGATIVE),
+        graph_file=graph_file,
+        radius=g.number("radius", required=graph_file is None,
+                        valid=_POSITIVE),
+        graph_seed=g.count("seed", required=graph_file is None),
+        failures=failures,
+        failure_scale=g.number("failure_scale", "0.5",
+                               valid=(lambda v: 0 < v < 1, "in (0, 1)")),
+        failure_p=g.number("failure_p", required=failures == "uniform",
+                           valid=(lambda v: 0 < v <= 1, "in (0, 1]")),
+        algo=algo, schedule=schedule,
+        inner_budget=a.count("inner_budget", "50", valid=_COUNT),
+        inner_tol=a.number("inner_tol"), stop_tol=a.number("stop_tol"),
+        alpha=a.number("alpha", required=algo == "ps", valid=_POSITIVE),
+        t_outer=r.count("t_outer", required=True),
+        k_inner=None if k_inner == "auto" else r.count("k_inner"),
+        seed=r.count("seed", "0"), checkpoint=r.count("checkpoint", "100"),
+        fstar=(fstar if fstar == "auto" else None if fstar == "none"
+               else _parse("[run] fstar", fstar)))
+    # distance failures fail every link of positive length; the links of a
+    # network file are checked when build_graph loads it
+    check_variant(algo, schedule, failures in ("always_on", "from_file")
+                  or spec.failure_p == 1.0)
+    return spec
 
 
-def build_graph(cfg: RunConfig,
+def build_problem(spec: RunSpec) -> ProblemInstance:
+    if spec.kind == "file":
+        return _checked("problem", load_instance, spec.problem_file)
+    if spec.kind == "logreg":
+        return gen_logreg(spec.nodes, spec.dim, spec.samples_per_node,
+                          spec.noise_var, spec.problem_seed)
+    targets = (np.array(spec.targets) if spec.targets is not None
+               else np.random.default_rng(spec.problem_seed).normal(
+                   0.0, spec.spread, (spec.nodes, spec.dim)))
+    return QuadConsensusInstance(targets, spec.lo, spec.hi)
+
+
+def build_graph(spec: RunSpec,
                 problem: ProblemInstance) -> tuple[Supergraph, FailureModel]:
-    gfile = cfg.get("graph", "file")
-    if gfile is not None:
-        graph, failures = _checked("graph", load_network, gfile)
+    if spec.graph_file is not None:
+        graph, failures = _checked("graph", load_network, spec.graph_file)
         if graph.n != problem.n_nodes:
             raise ConfigError(f"graph file has {graph.n} nodes, problem has "
                               f"{problem.n_nodes}")
-        if cfg.get("graph", "failures") not in (None, "from_file"):
-            raise ConfigError("[graph] failures cannot be overridden when "
-                              "loading from a file")
+        check_variant(spec.algo, spec.schedule, failures.reliable)
         return graph, failures
-    radius = _as_float("graph", "radius", _require(cfg, "graph", "radius"))
-    seed = _as_int("graph", "seed", _require(cfg, "graph", "seed"))
-    graph = _checked("graph", build_geometric, problem.n_nodes, radius, seed)
-    mode = cfg.get("graph", "failures", "always_on")
-    if mode == "always_on":
-        failures = FailureModel.always_on(graph)
-    elif mode == "distance":
-        scale = _as_float("graph", "failure_scale",
-                          cfg.get("graph", "failure_scale", "0.5"))
-        failures = _checked("graph", FailureModel.from_distance, graph,
-                            radius, scale)
-    elif mode == "uniform":
-        p = _as_float("graph", "failure_p",
-                      _require(cfg, "graph", "failure_p"))
-        failures = _checked("graph", FailureModel.uniform, graph, p)
-    else:
-        raise ConfigError(f"unknown failure mode {mode!r}")
-    return graph, failures
+    graph = _checked("graph", build_geometric, problem.n_nodes, spec.radius,
+                     spec.graph_seed)
+    if spec.failures == "distance":
+        return graph, _checked("graph", FailureModel.from_distance, graph,
+                               spec.radius, spec.failure_scale)
+    if spec.failures == "uniform":
+        return graph, FailureModel.uniform(graph, spec.failure_p)
+    return graph, FailureModel.always_on(graph)
 
 
 def _checked(section: str, build, *args):
@@ -190,25 +289,6 @@ def _checked(section: str, build, *args):
         return build(*args)
     except (ValueError, OSError, ConnectivityFailure) as exc:
         raise ConfigError(f"[{section}] {exc}") from None
-
-
-def build_schedule(cfg: RunConfig) -> PenaltySchedule | None:
-    name = cfg.get("algo", "name")
-    if name == "ps":
-        return None
-    kind = cfg.get("algo", "schedule", "power")
-    raw = cfg.get("algo", "schedule_params", "1.3,1")
-    params = [_as_float("algo", "schedule_params", v)
-              for v in raw.split(",") if v.strip()]
-    if kind not in ("fixed", "power", "geometric", "adaptive"):
-        raise ConfigError(f"unknown schedule kind {kind!r}")
-    try:
-        return getattr(PenaltySchedule, kind)(*params)
-    except TypeError:
-        raise ConfigError(f"[algo] schedule_params {raw!r} does not match "
-                          f"schedule {kind!r}") from None
-    except DomainError as exc:
-        raise ConfigError(f"[algo] {exc}") from None
 
 
 def instance_hash(problem: ProblemInstance, graph: Supergraph,
@@ -249,19 +329,23 @@ class OracleCache:
                 self._data, fh, indent=1, sort_keys=True))
 
 
+def _cache_in(out_dir: str | None) -> OracleCache:
+    """The oracle cache file of an output directory, which is created; an
+    in-memory cache when there is no directory."""
+    if out_dir is None:
+        return OracleCache(None)
+    os.makedirs(out_dir, exist_ok=True)
+    return OracleCache(os.path.join(out_dir, "oracle_cache.json"))
+
+
 def reference_value(problem: ProblemInstance,
                     budget: int = 200000) -> tuple[np.ndarray, float]:
-    """Best available reference optimum for a problem family.
-
-    Quadratic-consensus instances are solved in closed form; the sparse
-    classification family uses the accelerated proximal reference solver
-    (the generic projected-subgradient oracle is far too slow at the
-    accuracy the error metric needs and is kept as a cross-check)."""
+    """Reference optimum of an instance: closed form for quadratic
+    consensus, the accelerated proximal reference solver for the sparse
+    classification family."""
     if isinstance(problem, QuadConsensusInstance):
         return problem.analytic_optimum()
-    if isinstance(problem, LogRegInstance):
-        return problem.reference_solution(max_iter=budget)
-    return centralized_oracle(problem, budget)
+    return problem.reference_solution(max_iter=budget)
 
 
 def _cached_fstar(cache: OracleCache, key: str, problem: ProblemInstance,
@@ -276,15 +360,10 @@ def _cached_fstar(cache: OracleCache, key: str, problem: ProblemInstance,
     return float(f), False
 
 
-def resolve_fstar(cfg: RunConfig, problem: ProblemInstance,
-                  key: str, cache: OracleCache | None) -> float | None:
-    mode = cfg.get("run", "fstar", "auto")
-    if mode == "none":
-        return None
-    if mode != "auto":
-        return _as_float("run", "fstar", mode)
-    if cache is None:
-        cache = OracleCache(None)
+def resolve_fstar(spec: RunSpec, problem: ProblemInstance,
+                  key: str, cache: OracleCache) -> float | None:
+    if spec.fstar != "auto":
+        return spec.fstar
     return _cached_fstar(cache, key, problem)[0]
 
 
@@ -295,7 +374,7 @@ class RunResult:
     final_x: np.ndarray
 
 
-def run(config: RunConfig | str, out_dir: str | None = None,
+def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
         seed: int | None = None,
         cache: OracleCache | None = None) -> RunResult:
     """Execute one configured run.
@@ -304,79 +383,42 @@ def run(config: RunConfig | str, out_dir: str | None = None,
     ``<name>_state.txt`` into ``out_dir`` when given. Identical config and
     seed produce byte-identical outputs.
     """
-    if not isinstance(config, RunConfig):
-        config = parse_config(config)
-    problem = build_problem(config)
-    graph, failures = build_graph(config, problem)
-    schedule = build_schedule(config)
-    algo = _require(config, "algo", "name")
-    if algo not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-
-    run_seed = seed if seed is not None else _as_int(
-        "run", "seed", config.get("run", "seed", "0"))
-    t_outer = _as_int("run", "t_outer", _require(config, "run", "t_outer"))
-    if t_outer < 0:
-        raise ConfigError(f"[run] t_outer must be nonnegative, got {t_outer}")
-    checkpoint = _as_int("run", "checkpoint",
-                         config.get("run", "checkpoint", "100"))
-    if checkpoint < 0:
-        raise ConfigError(f"[run] checkpoint must be nonnegative, got "
-                          f"{checkpoint}")
-    # Every algorithm parameter is checked before the reference solve.
-    if algo == "ps":
-        alpha = _as_float("algo", "alpha", _require(config, "algo", "alpha"))
-        if alpha <= 0:
-            raise ConfigError(f"[algo] alpha must be positive, got {alpha}")
-    else:
-        k_raw = config.get("run", "k_inner", "auto")
-        k_inner = (default_inner_events(graph) if k_raw == "auto"
-                   else _as_int("run", "k_inner", k_raw))
-        if k_inner < 0:
-            raise ConfigError(f"[run] k_inner must be nonnegative, got "
-                              f"{k_inner}")
-        inner_budget = _as_int("algo", "inner_budget",
-                               config.get("algo", "inner_budget", "50"))
-        if inner_budget < 1:
-            raise ConfigError(f"[algo] inner_budget must be >= 1, got "
-                              f"{inner_budget}")
-        tol_raw = config.get("algo", "inner_tol")
-        inner_tol = None if tol_raw in (None, "") else _as_float(
-            "algo", "inner_tol", tol_raw)
-        stop_raw = config.get("algo", "stop_tol")
-        stop_tol = None if stop_raw in (None, "") else _as_float(
-            "algo", "stop_tol", stop_raw)
+    spec = validate(config)
+    run_seed = spec.seed if seed is None else seed
+    _need(run_seed >= 0, f"seeds must be nonnegative, got {run_seed}")
+    problem = build_problem(spec)
+    graph, failures = build_graph(spec, problem)
     inst_key = instance_hash(problem, graph, failures)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        if cache is None:
-            cache = OracleCache(os.path.join(out_dir, "oracle_cache.json"))
-    fstar = resolve_fstar(config, problem, inst_key, cache)
+    if cache is None:
+        cache = _cache_in(out_dir)
+    fstar = resolve_fstar(spec, problem, inst_key, cache)
 
     counters = None
-    if algo == "ps":
-        log, state = run_ps(problem, graph, failures, alpha, t_outer,
-                            run_seed, fstar=fstar,
-                            checkpoint_every=checkpoint)
+    if spec.algo == "ps":
+        log, state = run_ps(problem, graph, failures, spec.alpha,
+                            spec.t_outer, run_seed, fstar=fstar,
+                            checkpoint_every=spec.checkpoint)
     else:
         counters = Counters()
+        k_inner = (default_inner_events(graph) if spec.k_inner is None
+                   else spec.k_inner)
         log, state = run_outer(
-            problem, graph, Variant(algo), schedule, t_outer, k_inner,
-            run_seed, failures=failures, fstar=fstar,
-            inner_budget=inner_budget, inner_tol=inner_tol,
-            inner_stop_tol=stop_tol, checkpoint_every=checkpoint,
+            problem, graph, Variant(spec.algo), spec.schedule, spec.t_outer,
+            k_inner, run_seed, failures=failures, fstar=fstar,
+            inner_budget=spec.inner_budget, inner_tol=spec.inner_tol,
+            inner_stop_tol=spec.stop_tol, checkpoint_every=spec.checkpoint,
             counters=counters,
         )
     final_x = state.x
 
     manifest = {
-        "name": config.name,
-        "config": config.sections,
+        "name": spec.name,
+        "config": spec.sections,
         "seed": run_seed,
-        "algorithm": algo,
+        "algorithm": spec.algo,
         "instance_hash": inst_key,
         "fstar": fstar,
-        "manifest_hash": manifest_hash(config.sections, run_seed),
+        "manifest_hash": manifest_hash(spec.sections, run_seed),
     }
     if counters is not None:
         # block minimizations skipped because the block was clean; not
@@ -384,7 +426,8 @@ def run(config: RunConfig | str, out_dir: str | None = None,
         manifest["skipped_blocks"] = {"node": counters.node_skips,
                                       "link": counters.link_skips}
     if out_dir is not None:
-        base = os.path.join(out_dir, config.name)
+        os.makedirs(out_dir, exist_ok=True)
+        base = os.path.join(out_dir, spec.name)
         log.to_csv(base + "_trace.csv")
         write_atomic(base + "_manifest.json", lambda fh: json.dump(
             manifest, fh, indent=1, sort_keys=True))
@@ -401,27 +444,24 @@ def compare(configs, thresholds, out_dir: str | None = None,
             cache: OracleCache | None = None) -> list[dict]:
     """Run several configs on the same instance and report the cumulative
     transmissions each needs to reach each error threshold."""
-    parsed = [c if isinstance(c, RunConfig) else parse_config(c)
-              for c in configs]
+    specs = [validate(c) for c in configs]
+    thresholds = [_parse("a threshold", t) for t in thresholds]
     results = []
-    reference = None
-    for cfg in parsed:
-        res = run(cfg, out_dir=out_dir, cache=cache)
-        key = res.manifest["instance_hash"]
-        if reference is None:
-            reference = key
-        elif key != reference:
-            raise MismatchError(f"config {cfg.name!r} runs a different "
-                                f"instance than {parsed[0].name!r}")
-        results.append((cfg, res))
+    for spec in specs:
+        res = run(spec, out_dir=out_dir, cache=cache)
+        if results and (res.manifest["instance_hash"]
+                        != results[0][1].manifest["instance_hash"]):
+            raise MismatchError(f"config {spec.name!r} runs a different "
+                                f"instance than {specs[0].name!r}")
+        results.append((spec, res))
     table = []
-    for cfg, res in results:
+    for spec, res in results:
         for thr in thresholds:
-            row = res.log.first_crossing(float(thr))
+            row = res.log.first_crossing(thr)
             table.append({
-                "config": cfg.name,
+                "config": spec.name,
                 "algorithm": res.manifest["algorithm"],
-                "threshold": float(thr),
+                "threshold": thr,
                 "reached": row is not None,
                 "transmissions": None if row is None else row.transmissions,
                 "k": None if row is None else row.k,
@@ -444,37 +484,32 @@ def compare(configs, thresholds, out_dir: str | None = None,
 def oracle(config: RunConfig | str, out_dir: str | None = None,
            budget: int = 200000) -> dict:
     """Compute (or fetch) the reference optimum for a config's instance."""
-    if not isinstance(config, RunConfig):
-        config = parse_config(config)
-    problem = build_problem(config)
-    graph, failures = build_graph(config, problem)
+    _need(budget >= 1, f"the oracle budget must be >= 1, got {budget}")
+    spec = validate(config)
+    problem = build_problem(spec)
+    graph, failures = build_graph(spec, problem)
     key = instance_hash(problem, graph, failures)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    cache = OracleCache(os.path.join(out_dir, "oracle_cache.json")
-                        if out_dir is not None else None)
-    fstar, cached = _cached_fstar(cache, key, problem, budget)
+    fstar, cached = _cached_fstar(_cache_in(out_dir), key, problem, budget)
     return {"instance_hash": key, "fstar": fstar, "cached": cached}
 
 
 def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[dict]:
     """Run one config across several seeds; returns per-seed summaries."""
-    if not isinstance(config, RunConfig):
-        config = parse_config(config)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    cache = OracleCache(os.path.join(out_dir, "oracle_cache.json")
-                        if out_dir is not None else None)
+    spec = validate(config)
+    seeds = [int(s) for s in seeds]
+    _need(min(seeds, default=0) >= 0,
+          f"seeds must be nonnegative, got {seeds}")
+    cache = _cache_in(out_dir)
     rows = []
     for s in seeds:
-        res = run(config, out_dir=None, seed=int(s), cache=cache)
+        res = run(spec, out_dir=None, seed=s, cache=cache)
         final = res.log.rows[-1]
-        rows.append({"seed": int(s), "err_f": final.err_f,
+        rows.append({"seed": s, "err_f": final.err_f,
                      "transmissions": final.transmissions,
                      "k": final.k, "feasible": final.feasible})
         if out_dir is not None:
             res.log.to_csv(os.path.join(out_dir,
-                                        f"{config.name}_seed{s}_trace.csv"))
+                                        f"{spec.name}_seed{s}_trace.csv"))
     if out_dir is not None:
         def sweep_lines(fh):
             fh.write("seed,err_f,transmissions,k,feasible\n")
@@ -482,6 +517,6 @@ def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[di
                 fh.write(f"{r['seed']},{r['err_f']:.17g},"
                          f"{r['transmissions']},{r['k']},"
                          f"{int(r['feasible'])}\n")
-        write_atomic(os.path.join(out_dir, f"{config.name}_sweep.csv"),
+        write_atomic(os.path.join(out_dir, f"{spec.name}_sweep.csv"),
                      sweep_lines)
     return rows

@@ -13,13 +13,11 @@ from __future__ import annotations
 import abc
 import json
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import NonConvergence
 from .metrics import write_atomic
 
 
@@ -42,11 +40,15 @@ def _row_dots(D: np.ndarray) -> np.ndarray:
 class ProblemInstance(abc.ABC):
     """Sum-of-private-objectives problem over a common decision vector.
 
-    Subclasses expose the node objective ``f_i``, a subgradient of it, and
-    the Euclidean projection onto the node's constraint set. Instances are
-    immutable after construction and all callbacks are pure. The composite
-    callbacks return fresh arrays, which the node solver keeps without
-    copying.
+    Subclasses expose the node objective ``f_i``, a subgradient of it, the
+    Euclidean projection onto the node's constraint set, and the flop
+    estimates ``value_flops(i)`` and ``subgrad_flops(i)`` of the first two.
+    Instances are immutable after construction and all callbacks are pure.
+
+    The node solver uses ``quad_coeff`` of a ``quadratic`` family (a closed
+    form) and otherwise the composite callbacks ``node_smooth_gradient``,
+    ``node_smooth_lipschitz`` and ``node_prox`` (accelerated proximal
+    gradient), which return fresh arrays that it keeps without copying.
 
     Checkpoint metrics and the synchronous baseline call whole-network
     callbacks on a 2-D array ``X`` of estimates instead:
@@ -65,9 +67,6 @@ class ProblemInstance(abc.ABC):
     dim: int
     n_nodes: int
     quadratic: bool = False
-    # composite instances expose the smooth part of f_i plus an exact
-    # proximal map of the rest, enabling fast inner block solves
-    composite: bool = False
 
     @abc.abstractmethod
     def node_value(self, i: int, x: np.ndarray) -> float:
@@ -100,37 +99,6 @@ class ProblemInstance(abc.ABC):
     def global_value(self, x: np.ndarray) -> float:
         return sum(self.node_value(i, x) for i in range(self.n_nodes))
 
-    def global_subgradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for i in range(self.n_nodes):
-            g += self.node_subgradient(i, x)
-        return g
-
-    def project_intersection(self, x: np.ndarray, sweeps: int = 50,
-                             tol: float = 1e-10) -> np.ndarray:
-        """Cyclic projections onto the intersection of all node sets."""
-        x = np.asarray(x, dtype=float).copy()
-        for _ in range(sweeps):
-            before = x.copy()
-            for i in range(self.n_nodes):
-                x = self.node_project(i, x)
-            if np.linalg.norm(x - before) <= tol:
-                break
-        return x
-
-    # Composite interface (only when ``composite`` is True).
-    def node_smooth_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of the smooth part of f_i."""
-        raise NotImplementedError
-
-    def node_smooth_lipschitz(self, i: int) -> float:
-        """Lipschitz constant of the smooth part's gradient."""
-        raise NotImplementedError
-
-    def node_prox(self, i: int, u: np.ndarray, step: float) -> np.ndarray:
-        """Proximal map of the nonsmooth part of f_i plus the node's set."""
-        raise NotImplementedError
-
     def node_feasible(self, i: int, x: np.ndarray, tol: float = 1e-9) -> bool:
         return bool(np.linalg.norm(self.node_project(i, x) - x) <= tol)
 
@@ -139,13 +107,6 @@ class ProblemInstance(abc.ABC):
         set."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return bool((self.set_distances(xs) <= tol).all())
-
-    # Coarse instruction-count estimates for the flop counters.
-    def value_flops(self, i: int) -> int:
-        return 4 * self.dim
-
-    def subgrad_flops(self, i: int) -> int:
-        return 4 * self.dim
 
 
 class QuadConsensusInstance(ProblemInstance):
@@ -207,11 +168,6 @@ class QuadConsensusInstance(ProblemInstance):
         if self.lo is None:
             return np.array(X, dtype=float)
         return np.clip(X, self.lo, self.hi)
-
-    def global_subgradient(self, x):
-        wsum = self.weights.sum()
-        wtarget = self.weights @ self.targets
-        return 2.0 * (wsum * x - wtarget)
 
     def quad_coeff(self, i: int) -> tuple[float, np.ndarray]:
         """Coefficients (w, a) of the node objective ``w*||x - a||^2``."""
@@ -354,8 +310,6 @@ class LogRegInstance(ProblemInstance):
         elif v < -vmax:
             out[-1] = -vmax
 
-    composite = True
-
     def node_smooth_gradient(self, i, x):
         return -self._design_t[i].dot(expit(self._neg[i].dot(x)))
 
@@ -374,31 +328,22 @@ class LogRegInstance(ProblemInstance):
         self._project_into(i, out)
         return out
 
-    def global_subgradient(self, x):
-        design = self._design.reshape(-1, self.dim)
-        u = design @ x
-        g = -(design.T @ expit(-u))
-        g[:-1] += self.lam_reg * np.sign(x[:-1])
-        return g
-
-    def reference_solution(self, max_iter: int = 20000, tol: float = 1e-14,
-                           constrained: bool = True) -> tuple[np.ndarray, float]:
-        """High-accuracy minimizer via accelerated proximal gradient.
+    def reference_solution(self,
+                           max_iter: int = 20000) -> tuple[np.ndarray, float]:
+        """High-accuracy minimizer via accelerated proximal gradient, and
+        its value as the sum of the node objectives.
 
         The smooth part is the summed logistic loss; the proximal step
         soft-thresholds the weights and projects onto the tightest ball and
         interval (exact for an l2 ball, since soft-thresholding followed by
         radial scaling solves the joint prox problem).
         """
-        design = self._design.reshape(-1, self.dim)
-        ball = float(self.ball_sq.min()) if constrained else None
-        vmax = float(self.v_bound.min()) if constrained else None
-        z, val = _prox_grad_l1_logistic(design, self.lam_reg, self.dim - 1,
-                                        ball, vmax, max_iter, tol)
-        if constrained:
-            extra = sum(self.node_value(i, z) for i in range(self.n_nodes))
-            val = float(extra)
-        return z, val
+        z, _ = _prox_grad_l1_logistic(
+            self._design.reshape(-1, self.dim), self.lam_reg, self.dim - 1,
+            float(self.ball_sq.min()), float(self.v_bound.min()), max_iter,
+            1e-14)
+        return z, float(sum(self.node_value(i, z)
+                            for i in range(self.n_nodes)))
 
     def value_flops(self, i):
         return self.n_samples * (8 * self.dim + 40) + 2 * self.dim
@@ -558,41 +503,6 @@ def err_f(inst: ProblemInstance, xs: Sequence[np.ndarray],
     # node values summed row by row in node order, as global_value sums them
     gaps = sum(inst.values(xs)) - fstar
     return float(np.mean(gaps))
-
-
-def centralized_oracle(inst: ProblemInstance, budget: int,
-                       step_scale: float = 1.0) -> tuple[np.ndarray, float]:
-    """Reference solve by projected subgradient with step ``c/sqrt(k)``.
-
-    Projection onto the intersection of the node sets uses cyclic
-    projections (50 sweeps, tolerance 1e-10). Returns the best iterate and
-    its value; the best-value sequence is monotone by construction. Warns
-    with :class:`NonConvergence` when the best value is still improving
-    faster than 1e-8 per iteration at the end of the budget.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    x = inst.project_intersection(np.zeros(inst.dim))
-    best_x, best_f = x.copy(), inst.global_value(x)
-    # progress rate estimated over the second half of the budget (subgradient
-    # improvements are lumpy, so a short trailing window underestimates it)
-    window = max(1, budget // 2)
-    snapshot = None
-    for k in range(1, budget + 1):
-        g = inst.global_subgradient(x)
-        x = inst.project_intersection(x - (step_scale / np.sqrt(k)) * g)
-        f = inst.global_value(x)
-        if f < best_f:
-            best_f, best_x = f, x.copy()
-        if k == budget - window:
-            snapshot = best_f
-    if snapshot is not None and (snapshot - best_f) / window > 1e-8:
-        warnings.warn(
-            f"oracle still improving at budget end "
-            f"({(snapshot - best_f) / window:.3e} per iteration)",
-            NonConvergence,
-        )
-    return best_x, float(best_f)
 
 
 def instance_text(inst: ProblemInstance) -> str:

@@ -4,8 +4,7 @@ Each inner event minimizes the augmented Lagrangian over one block while the
 rest stay fixed. The node block reduces to ``f_i(x) + c^T x + (q/2)||x||^2``
 over the node's set; the link blocks have exact closed forms. Inexact node
 solves never return a point with a larger block objective than the warm
-start: the accelerated solver checks this once, at the end of the solve,
-and the subgradient fallback keeps its best iterate.
+start: the accelerated solver checks this once, at the end of the solve.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class XSubproblem:
                 + float(self.linear.dot(x))
                 + 0.5 * self.quad_weight * float(x.dot(x)))
 
-    def subgradient(self, x: np.ndarray) -> np.ndarray:
-        return (self.problem.node_subgradient(self.node, x)
-                + self.linear + self.quad_weight * x)
-
 
 def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
                   inner_tol: float | None = None,
@@ -49,12 +44,12 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     Quadratic node objectives ``w||x - a||^2`` are solved exactly: the
     regularized stationary point ``(2wa - c)/(2w + q)`` projected onto the
     node set is the constrained minimizer because the Hessian is isotropic.
-    Composite objectives (smooth part plus an exactly proxable rest) use
-    accelerated proximal gradient, which the added ``(q/2)||x||^2`` term
-    makes strongly convex. Anything else runs projected subgradient (step
-    ``c0/sqrt(k)``, ``c0 = 1/(q+1)``) from the warm start, keeping the best
-    iterate. In every case the result never has a larger block objective
-    than the warm start.
+    When ``2w + q = 0`` (a one-node network whose node has weight 0) the
+    block objective is constant on the node set and the warm start is
+    returned. Composite objectives (smooth part plus an exactly proxable
+    rest) use accelerated proximal gradient, which the added
+    ``(q/2)||x||^2`` term makes strongly convex. In every case the result
+    never has a larger block objective than the warm start.
     """
     if inner_budget < 1:
         raise ValueError("inner_budget must be >= 1")
@@ -62,45 +57,21 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     if warm_start is None:
         warm_start = prob.node_project(i, np.zeros(prob.dim))
 
-    if prob.quadratic:
-        w, a = prob.quad_coeff(i)
-        denom = 2.0 * w + sub.quad_weight
-        if denom > 0:
-            x = prob.node_project(i, (2.0 * w * a - sub.linear) / denom)
-            if counters is not None:
-                counters.flops += 6 * prob.dim
-            # Exact minimizer; the safeguard can still matter at the
-            # boundary of floating point so keep it.
-            if sub.objective(x) <= sub.objective(warm_start):
-                return x
-            return np.asarray(warm_start, dtype=float).copy()
-
-    if prob.composite:
+    if not prob.quadratic:
         return _solve_composite(sub, inner_budget, inner_tol, warm_start,
                                 counters)
-
-    # Iterates are fresh arrays that are never written in place, so the
-    # best one is kept by reference and copied once on return; the flop
-    # counter is advanced once per solve.
-    x = np.array(warm_start, dtype=float)
-    best_x, best_f = x, sub.objective(x)
-    c0 = 1.0 / (sub.quad_weight + 1.0)
-    iters = 0
-    for k in range(1, inner_budget + 1):
-        g = sub.subgradient(x)
-        x_new = prob.node_project(i, x - (c0 / math.sqrt(k)) * g)
-        f_new = sub.objective(x_new)
-        if f_new < best_f:
-            best_f, best_x = f_new, x_new
-        d = x_new - x
-        x = x_new
-        iters += 1
-        if inner_tol is not None and math.sqrt(d.dot(d)) <= inner_tol:
-            break
+    w, a = prob.quad_coeff(i)
+    denom = 2.0 * w + sub.quad_weight
+    if denom <= 0:
+        return np.array(warm_start, dtype=float)
+    x = prob.node_project(i, (2.0 * w * a - sub.linear) / denom)
     if counters is not None:
-        counters.flops += iters * (prob.subgrad_flops(i) + prob.value_flops(i)
-                                   + 6 * prob.dim)
-    return best_x.copy()
+        counters.flops += 6 * prob.dim
+    # Exact minimizer; the safeguard can still matter at the
+    # boundary of floating point so keep it.
+    if sub.objective(x) <= sub.objective(warm_start):
+        return x
+    return np.asarray(warm_start, dtype=float).copy()
 
 
 def _solve_composite(sub: XSubproblem, inner_budget: int,

@@ -52,24 +52,33 @@ def write_config(tmp_path, name="albg", t_outer=10, extra="",
 class TestConfigParsing:
     def test_valid_config_parses(self, tmp_path):
         cfg = harness.parse_config(write_config(tmp_path))
-        assert cfg.get("algo", "name") == "albg"
+        assert cfg.sections["algo"]["name"] == "albg"
         assert cfg.name == "run"
+        spec = harness.validate(cfg)
+        assert spec.sections is cfg.sections and spec.name == "run"
+        assert (spec.algo, spec.t_outer, spec.k_inner, spec.checkpoint) == (
+            "albg", 10, 120, 60)
+        assert spec.schedule == algo.PenaltySchedule.power(1.3, 1)
+        assert spec.targets == ((0.0,), (1.0,), (2.0,), (3.0,))
+        assert (spec.fstar, spec.inner_tol, spec.alpha) == ("auto", None,
+                                                            None)
+        assert harness.validate(spec) is spec
 
     def test_unknown_key_is_rejected(self, tmp_path):
         bad = QUAD_CONFIG.format(name="albg", t_outer=5, extra="") \
             .replace("radius", "radios")
         with pytest.raises(ConfigError, match="radios"):
-            harness.parse_config(write_config(tmp_path, body=bad))
+            harness.validate(write_config(tmp_path, body=bad))
 
     def test_unknown_section_is_rejected(self, tmp_path):
         bad = QUAD_CONFIG.format(name="albg", t_outer=5, extra="") \
             + "\n[plotting]\nstyle = lines\n"
         with pytest.raises(ConfigError, match="plotting"):
-            harness.parse_config(write_config(tmp_path, body=bad))
+            harness.validate(write_config(tmp_path, body=bad))
 
     def test_missing_section_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="missing section"):
-            harness.parse_config(write_config(
+            harness.validate(write_config(
                 tmp_path, body="[problem]\nkind = quad\n"))
 
     def test_algorithm_failure_compatibility(self, tmp_path):
@@ -128,7 +137,7 @@ class TestRun:
     def test_harness_err_matches_problem_err(self, tmp_path):
         cfg = harness.parse_config(write_config(tmp_path))
         res = harness.run(cfg)
-        problem = harness.build_problem(cfg)
+        problem = harness.build_problem(harness.validate(cfg))
         fstar = res.manifest["fstar"]
         direct = err_f(problem, res.final_x, fstar)
         assert res.log.rows[-1].err_f == pytest.approx(direct, abs=1e-12)
@@ -542,15 +551,37 @@ class TestCLI:
         ([("checkpoint = 60", "checkpoint = -5")], ["run"]),
         ([("name = alg", "name = ps\nalpha = 0.01"),
           ("checkpoint = 60", "checkpoint = -5")], ["run"]),
+        ([("name = alg", "name = albg"),
+          ("failures = always_on", "failures = uniform\nfailure_p = 0.5")],
+         ["run"]),
+        ([("name = alg", "name = albg"),
+          ("schedule = power\nschedule_params = 1.3,1",
+           "schedule = adaptive\nschedule_params = 0.3,1.2,1")], ["run"]),
+        ([("seed = 0", "seed = x")], ["sweep", "--seeds", "0..1"]),
+        ([("fstar = auto", "fstar = nan")], ["run"]),
+        ([("seed = 0", "seed = -1")], ["run"]),
+        ([], ["run", "--seed", "-1"]),
+        ([], ["sweep", "--seeds=-1..1"]),
+        ([("[problem]\n", "nodes = 4\n[problem]\n")], ["run"]),
+        ([("name = alg", "name = albg"),
+          ("radius = 0.9\nseed = 2\nfailures = always_on",
+           "file = {tmp}/unreliable.txt")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
             "graph_file_disconnected", "negative_t_outer",
             "ps_negative_t_outer", "negative_k_inner", "negative_checkpoint",
-            "ps_negative_checkpoint"])
+            "ps_negative_checkpoint", "albg_unreliable_links",
+            "albg_adaptive", "sweep_run_seed", "nan_fstar",
+            "negative_run_seed", "negative_seed_flag",
+            "negative_sweep_seed", "no_section_header",
+            "albg_unreliable_graph_file"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
         # edges 0-1 and 2-3 only: a network with two components
         (tmp_path / "disconnected.txt").write_text("4\n0 1 1 1\n2 3 1 1\n")
+        # a path whose first link fails half the time one way
+        (tmp_path / "unreliable.txt").write_text(
+            "4\n0 1 0.5 1\n1 2 1 1\n2 3 1 1\n")
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
         for old, new in edits:
             assert old in body
@@ -561,14 +592,18 @@ class TestCLI:
                         + args[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        # rejected before the reference solve
-        assert not (out / "oracle_cache.json").exists()
+        # rejected before the reference solve, with no output written
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("args", [
-        ["compare", "--configs", "{cfg}", "--thresholds", "1e-2,x"],
+        ["compare", "--configs", "{cfg}", "--thresholds", "1e-2,x",
+         "--out", "{tmp}/out"],
         ["extract", "--trace", "{tmp}/missing.csv"],
         ["extract", "--trace", "{tmp}/malformed.csv"],
-    ], ids=["compare_thresholds", "extract_missing", "extract_malformed"])
+        ["oracle", "--config", "{cfg}", "--out", "{tmp}/out", "--budget",
+         "0"],
+    ], ids=["compare_thresholds", "extract_missing", "extract_malformed",
+            "oracle_budget"])
     def test_bad_arguments_exit_2_with_one_line(self, tmp_path, capsys,
                                                 args):
         cfg = write_config(tmp_path)
@@ -578,6 +613,19 @@ class TestCLI:
         assert cli_main([a.format(cfg=cfg, tmp=tmp_path) for a in args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_checks_every_config_before_running_any(self, tmp_path,
+                                                            capsys):
+        good = write_config(tmp_path, fname="good.cfg")
+        bad = write_config(tmp_path, fname="bad.cfg", body=QUAD_CONFIG.format(
+            name="alg", t_outer=2, extra="").replace(
+                "schedule_params = 1.3,1", "schedule_params = x"))
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--configs", str(good), str(bad),
+                         "--thresholds", "1e-2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         runaway = QUAD_CONFIG.format(name="ps", t_outer=200,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from algossip.algo import PenaltySchedule, Variant, run_outer
 from algossip.errors import DomainError
+from algossip.graph import build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 from algossip.subsolve import (XSubproblem, solve_bg_block, solve_x_block,
                                y_closed_form_peredge)
@@ -276,6 +278,26 @@ class TestSolveXBlock:
             grad = prob.node_smooth_gradient(0, x) + c + q * x
             np.testing.assert_allclose(
                 prob.node_prox(0, x - step * grad, step), x, atol=1e-9)
+
+    def test_zero_denominator_returns_the_warm_start(self, monkeypatch):
+        # 2w + q = 0 only for a one-node network whose node has weight 0:
+        # the block objective is constant on the box, so no solver runs
+        prob = QuadConsensusInstance([[1.0]], lo=[[0.5]], hi=[[2.0]],
+                                     weights=[0.0])
+        warm = np.array([1.5])
+        calls = []
+        monkeypatch.setattr(prob, "node_value",
+                            lambda i, x: calls.append(i) or 0.0)
+        x = solve_x_block(XSubproblem(prob, 0, np.zeros(1), 0.0),
+                          warm_start=warm)
+        assert x.tolist() == [1.5] and not np.shares_memory(x, warm)
+        assert calls == []
+        monkeypatch.undo()
+        log, state = run_outer(prob, build_geometric(1, 0.5, 0), Variant.ALG,
+                               PenaltySchedule.fixed(1.0), t_outer=3,
+                               k_inner=20, seed=0)
+        assert state.x.tolist() == [[0.5]]  # the projected zero start
+        assert log.rows[-1].k == 60 and log.rows[-1].flops == 0
 
     def test_optimal_warm_start_returned_unchanged(self):
         prob = scalar_quad(1.0)
