@@ -156,10 +156,12 @@ class ALGState:
     block ``i`` or link block ``a`` may have changed since the block was
     last minimized; a clean block is not re-minimized, because an exact
     block minimization with unchanged inputs returns what it returned
-    before. ``reset_movement()`` marks every block dirty. The run loop calls
-    it at every slot start, after the dual step and any penalty change;
-    code that writes ``x``, ``y``, ``y_recv``, ``mu`` or ``lam`` directly
-    must call it too.
+    before. ``reset_movement()`` marks every block dirty.
+    :func:`slot_kernel` calls it at every slot start, after the dual step
+    and any penalty change; code that writes ``x``, ``y``, ``y_recv``,
+    ``mu`` or ``lam`` directly must start a new slot before the next event.
+    A slot's kernel writes the rows of these arrays in place, so they must
+    not be replaced during the slot.
     """
 
     def __init__(self, problem: ProblemInstance, graph: Supergraph):
@@ -185,13 +187,6 @@ class ALGState:
         self.y_move = [np.inf] * self.graph.num_arcs
         self.node_dirty = [True] * self.graph.n
         self.link_dirty = [True] * self.graph.num_arcs
-
-    def converged(self, tol: float) -> bool:
-        """Every block moved less than ``tol`` when last re-minimized and
-        no link value has drifted from its receiver's copy by ``tol``."""
-        return (max(self.x_move) < tol
-                and max(self.y_move, default=0.0) < tol
-                and max(self.stale, default=0.0) < tol)
 
     def snapshot_finals(self) -> None:
         self.final = (self.x.copy(), self.y.copy(), self.y_recv.copy())
@@ -244,10 +239,6 @@ class ALBGState:
     def reset_movement(self) -> None:
         self.x_move = [np.inf] * self.graph.n
 
-    def converged(self, tol: float) -> bool:
-        """Every node moved less than ``tol`` when last re-minimized."""
-        return max(self.x_move) < tol
-
     def neighbor_sum(self, i: int) -> np.ndarray:
         out = np.zeros(self.problem.dim)
         for j in self.graph.neighbors[i]:
@@ -295,156 +286,202 @@ class Counters:
 
 
 # --------------------------------------------------------------------------
-# Inner (fast-scale) steps
+# Inner (fast-scale) kernel
 # --------------------------------------------------------------------------
 
-def _changed(new: np.ndarray, old: np.ndarray, moved: float) -> bool:
-    """Whether ``new`` differs from ``old`` in any byte. A subnormal step
-    can square to zero, and -0.0 == 0.0, so a zero ``moved`` alone does
-    not prove the block kept its value."""
-    return moved != 0.0 or new.tobytes() != old.tobytes()
+def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
+                inner_budget: int = 50, inner_tol: float | None = None,
+                stop_tol: float | None = None):
+    """Start a slot on ``state`` and return its per-event function.
 
+    ``apply(ev)`` applies one slot outcome of ``variant`` at the slot's
+    penalties ``pen`` and returns the running stop count: the number of
+    ``x_move``, ``y_move`` and ``stale`` entries not below ``stop_tol``
+    (a NaN is not below). The slot may end once it is zero; without a
+    ``stop_tol`` it never is.
 
-def _update_x_block(state: ALGState, i: int, rho_mu, inner_budget: int,
-                    inner_tol: float | None, counters: Counters) -> float:
-    if not state.node_dirty[i]:
-        state.x_move[i] = 0.0
-        counters.node_skips += 1
-        return 0.0
-    state.node_dirty[i] = False
-    arcs = state.graph.out_slice[i]
-    rho = rho_mu[arcs]
-    terms = state.mu[arcs] - np.array(rho)[:, None] * state.y[arcs]
-    # Summed one row at a time from zero, like a loop of +=: a reduction
-    # over a single column would sum pairwise and round differently.
-    linear = np.zeros(state.problem.dim)
-    quad = 0.0
-    for r, row in zip(rho, terms):
-        linear += row
-        quad += r
-    sub = XSubproblem(state.problem, i, linear, quad)
-    new = solve_x_block(sub, inner_budget, inner_tol, warm_start=state.x[i],
-                        counters=counters)
-    d = new - state.x[i]
-    moved = math.sqrt(d.dot(d))
-    if _changed(new, state.x[i], moved):
-        # every link block of node i reads x[i]
-        state.link_dirty[arcs] = [True] * len(rho)
-    state.x[i] = new
-    state.x_move[i] = moved
-    return moved
+    Pairwise and multi-neighbor variants: a node tick re-minimizes that
+    node's estimate; a successful transfer delivers the sender's link value
+    and re-minimizes the receiver's link block; a broadcast (resolved into
+    receivers by :func:`sample_mg_event`) does that for every receiver,
+    whose link blocks are disjoint, so the joint update is an exact block
+    minimization. Every message counts one transmission, delivered or not:
+    one per pairwise transfer or void slot, the node's degree per broadcast
+    or void broadcast. ``pen`` holds the per-arc ``mu`` and ``lam``
+    penalties (see :class:`ALGState`). Broadcast variant: the node
+    re-minimizes its block and broadcasts the new value to all neighbors
+    (one transmission); ``pen`` is one float.
 
-
-def _deliver_and_update(state: ALGState, inbound: int, rho_mu, rho_lam,
-                        counters: Counters) -> float:
-    """The receiver of arc ``inbound`` stores the incoming link value and
-    re-minimizes its own link block toward the sender. When that block is
-    clean, the receiver's copy already holds the bytes of ``y[inbound]``
-    (a change there would have dirtied the block) and nothing is done."""
-    g = state.graph
-    out = g.rev_of[inbound]
-    state.stale[inbound] = 0.0
-    if not state.link_dirty[out]:
-        state.y_move[out] = 0.0
-        counters.link_skips += 1
-        return 0.0
-    state.link_dirty[out] = False
-    state.y_recv[inbound] = state.y[inbound]
-    owner = g.src_of[out]
-    new = y_closed_form_peredge(
-        state.x[owner], state.y_recv[inbound],
-        state.mu[out], state.lam[out], rho_lam[out], rho_mu[out],
-        g.sign_of[out],
-    )
-    d = new - state.y[out]
-    moved = math.sqrt(d.dot(d))
-    if _changed(new, state.y[out], moved):
-        # the owner's node block reads y[out]; the sender's link block
-        # reads the owner's next delivery of it
-        state.node_dirty[owner] = True
-        state.link_dirty[inbound] = True
-    state.stale[out] += moved
-    state.y[out] = new
-    state.y_move[out] = moved
-    counters.flops += 8 * state.problem.dim
-    return moved
-
-
-def inner_step_alg(state: ALGState, ev: Event, pen,
-                   inner_budget: int = 50, inner_tol: float | None = None,
-                   counters: Counters | None = None) -> float:
-    """Apply one pairwise-gossip event; returns the block movement.
-
-    A node tick re-minimizes that node's estimate; a successful transfer
-    delivers the sender's link value and re-minimizes the receiver's link
-    block; a void slot (failed transfer) changes nothing. Successful and
-    failed transfers both count one transmission. ``pen`` holds the
-    per-arc ``mu`` and ``lam`` penalties (see :class:`ALGState`).
+    Everything fixed for the slot is bound here once: the state's row
+    views, each node's out-arc penalty column and its sum, and the per-arc
+    penalties. The samplers and block solvers are looked up on this module
+    at call time.
     """
     counters = counters if counters is not None else Counters()
-    rho_mu, rho_lam = pen
-    if ev.kind is EventKind.X_UPDATE:
-        return _update_x_block(state, ev.node, rho_mu, inner_budget,
-                               inner_tol, counters)
-    if ev.kind is EventKind.Y_TRANSFER:
-        counters.transmissions += 1
-        return _deliver_and_update(state, ev.arc, rho_mu, rho_lam, counters)
-    if ev.kind is EventKind.VOID:
-        counters.transmissions += 1
-        return 0.0
-    raise KindError(f"event {ev.kind} is not part of the pairwise variant")
+    variant = Variant(variant)
+    g, problem = state.graph, state.problem
+    state.reset_movement()
+    tol = -math.inf if stop_tol is None else stop_tol  # nothing is below
+    zero_below = 0.0 < tol
+    x_move, x_rows = state.x_move, list(state.x)
+    unsettled = sum(not v < tol for v in x_move)
+    degrees = g.degrees.tolist()
 
+    if variant is Variant.ALBG:
+        rho = float(pen)
+        lam_bar_rows, bcast_rows = list(state.lam_bar), list(state.x_bcast)
 
-def inner_step_mg(state: ALGState, ev: Event, pen,
-                  inner_budget: int = 50, inner_tol: float | None = None,
-                  counters: Counters | None = None) -> float:
-    """Apply one multi-neighbor event.
+        def apply_bg(ev: Event) -> int:
+            nonlocal unsettled
+            if ev.kind is not EventKind.BG_UPDATE:
+                raise KindError(f"event {ev.kind} is not part of the "
+                                f"broadcast variant")
+            i = ev.node
+            x_i = x_rows[i]
+            new = solve_bg_block(problem, i, lam_bar_rows[i],
+                                 state.neighbor_sum(i), degrees[i], rho,
+                                 inner_budget, inner_tol, warm_start=x_i,
+                                 counters=counters)
+            d = new - x_i
+            moved = math.sqrt(d.dot(d))
+            x_i[...] = new
+            bcast_rows[i][...] = new
+            unsettled += (x_move[i] < tol) - (moved < tol)
+            x_move[i] = moved
+            counters.transmissions += 1
+            return unsettled
+        return apply_bg
 
-    A broadcast sends every link variable of the node at once (one message
-    per neighbor, all counted, delivered or not); each successful receiver
-    applies the same link update as the pairwise variant. The touched link
-    blocks are disjoint, so the joint update is an exact block minimization.
-    """
-    counters = counters if counters is not None else Counters()
-    rho_mu, rho_lam = pen
-    if ev.kind is EventKind.X_UPDATE:
-        return _update_x_block(state, ev.node, rho_mu, inner_budget,
-                               inner_tol, counters)
-    if ev.kind is EventKind.MG_BROADCAST:
-        if ev.receivers is None:
-            raise KindError("broadcast tick must be resolved into receivers "
-                            "before stepping (see sample_mg_event)")
-        counters.transmissions += int(state.graph.degrees[ev.node])
-        moved = 0.0
-        for a in ev.receivers:
-            moved = max(moved, _deliver_and_update(state, a, rho_mu, rho_lam,
-                                                   counters))
-        return moved
-    if ev.kind is EventKind.VOID:
-        counters.transmissions += int(state.graph.degrees[ev.node])
-        return 0.0
-    raise KindError(f"event {ev.kind} is not part of the multi-neighbor "
-                    f"variant")
+    y_move, stale = state.y_move, state.stale
+    node_dirty, link_dirty = state.node_dirty, state.link_dirty
+    unsettled += sum(not v < tol for v in y_move)
+    unsettled += sum(not v < tol for v in stale)
+    y_rows, y_recv_rows = list(state.y), list(state.y_recv)
+    mu_rows, lam_rows = list(state.mu), list(state.lam)
+    src_of, rev_of, sign_of = g.src_of, g.rev_of, g.sign_of
+    # Python floats index and multiply faster than numpy scalars.
+    rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
+    dim, link_flops = problem.dim, 8 * problem.dim
+    zero = np.zeros(dim)
+    # per node: its out-arc blocks of mu and y, their tie penalties (one
+    # row per arc, repeated across the columns), the penalty sum and a run
+    # of dirty flags for its links
+    blocks = []
+    for i in range(g.n):
+        arcs = g.out_slice[i]
+        quad = 0.0
+        for r in rho_mu[arcs]:  # summed in arc order, like the linear term
+            quad += r
+        blocks.append((arcs, state.mu[arcs], state.y[arcs],
+                       np.repeat(np.array(rho_mu[arcs])[:, None], dim, 1),
+                       quad, [True] * (arcs.stop - arcs.start)))
+    X_UPDATE, Y_TRANSFER = EventKind.X_UPDATE, EventKind.Y_TRANSFER
+    MG_BROADCAST, VOID = EventKind.MG_BROADCAST, EventKind.VOID
 
+    def x_update(i: int) -> None:
+        nonlocal unsettled
+        if not node_dirty[i]:
+            unsettled += (x_move[i] < tol) - zero_below
+            x_move[i] = 0.0
+            counters.node_skips += 1
+            return
+        node_dirty[i] = False
+        arcs, mu_blk, y_blk, rho_blk, quad, dirty_run = blocks[i]
+        if dirty_run:
+            # The arc terms summed one row at a time, in arc order: a
+            # reduction over a single column would sum pairwise and round
+            # differently. Adding zero last gives the bits of a sum started
+            # from zero (it only turns a -0.0 into 0.0).
+            linear = np.add.accumulate(mu_blk - rho_blk * y_blk)[-1] + zero
+        else:  # a node without neighbors
+            linear = zero.copy()
+        x_i = x_rows[i]
+        new = solve_x_block(XSubproblem(problem, i, linear, quad),
+                            inner_budget, inner_tol, warm_start=x_i,
+                            counters=counters)
+        d = new - x_i
+        moved = math.sqrt(d.dot(d))
+        # A subnormal step can square to zero, and -0.0 == 0.0, so a zero
+        # ``moved`` alone does not prove the block kept its value.
+        if moved != 0.0 or new.tobytes() != x_i.tobytes():
+            link_dirty[arcs] = dirty_run  # every link block of i reads x[i]
+        x_i[...] = new
+        unsettled += (x_move[i] < tol) - (moved < tol)
+        x_move[i] = moved
 
-def step_bg(state: ALBGState, node: int, rho: float,
-            inner_budget: int = 50, inner_tol: float | None = None,
-            counters: Counters | None = None) -> float:
-    """One broadcast-variant event: the node re-minimizes its block and
-    broadcasts the new value to all neighbors (one transmission)."""
-    counters = counters if counters is not None else Counters()
-    x_bar = state.neighbor_sum(node)
-    new = solve_bg_block(state.problem, node, state.lam_bar[node], x_bar,
-                         int(state.graph.degrees[node]), rho,
-                         inner_budget, inner_tol,
-                         warm_start=state.x[node], counters=counters)
-    d = new - state.x[node]
-    moved = math.sqrt(d.dot(d))
-    state.x[node] = new
-    state.x_bcast[node] = new.copy()
-    state.x_move[node] = moved
-    counters.transmissions += 1
-    return moved
+    def deliver(inbound: int) -> None:
+        """The receiver of arc ``inbound`` stores the incoming link value
+        and re-minimizes its own link block toward the sender. When that
+        block is clean, the receiver's copy already holds the bytes of
+        ``y[inbound]`` (a change there would have dirtied the block) and
+        nothing is done."""
+        nonlocal unsettled
+        out = rev_of[inbound]
+        unsettled += (stale[inbound] < tol) - zero_below
+        stale[inbound] = 0.0
+        if not link_dirty[out]:
+            unsettled += (y_move[out] < tol) - zero_below
+            y_move[out] = 0.0
+            counters.link_skips += 1
+            return
+        link_dirty[out] = False
+        y_recv = y_recv_rows[inbound]
+        y_recv[...] = y_rows[inbound]
+        owner = src_of[out]
+        new = y_closed_form_peredge(x_rows[owner], y_recv, mu_rows[out],
+                                    lam_rows[out], rho_lam[out], rho_mu[out],
+                                    sign_of[out])
+        y_out = y_rows[out]
+        d = new - y_out
+        moved = math.sqrt(d.dot(d))
+        if moved != 0.0 or new.tobytes() != y_out.tobytes():
+            # the owner's node block reads y[out]; the sender's link block
+            # reads the owner's next delivery of it
+            node_dirty[owner] = True
+            link_dirty[inbound] = True
+        drift = stale[out]
+        stale[out] = drift + moved
+        y_out[...] = new
+        unsettled += ((drift < tol) - (drift + moved < tol)
+                      + (y_move[out] < tol) - (moved < tol))
+        y_move[out] = moved
+        counters.flops += link_flops
+
+    if variant is Variant.ALG:
+        def apply_alg(ev: Event) -> int:
+            kind = ev.kind
+            if kind is X_UPDATE:
+                x_update(ev.node)
+            elif kind is Y_TRANSFER:
+                counters.transmissions += 1
+                deliver(ev.arc)
+            elif kind is VOID:
+                counters.transmissions += 1
+            else:
+                raise KindError(f"event {kind} is not part of the pairwise "
+                                f"variant")
+            return unsettled
+        return apply_alg
+
+    def apply_mg(ev: Event) -> int:
+        kind = ev.kind
+        if kind is X_UPDATE:
+            x_update(ev.node)
+        elif kind is MG_BROADCAST:
+            if ev.receivers is None:
+                raise KindError("broadcast tick must be resolved into "
+                                "receivers before stepping (see "
+                                "sample_mg_event)")
+            counters.transmissions += degrees[ev.node]
+            for a in ev.receivers:
+                deliver(a)
+        elif kind is VOID:
+            counters.transmissions += degrees[ev.node]
+        else:
+            raise KindError(f"event {kind} is not part of the "
+                            f"multi-neighbor variant")
+        return unsettled
+    return apply_mg
 
 
 # --------------------------------------------------------------------------
@@ -510,60 +547,50 @@ def lagrangian_eval(state, pen) -> float:
 # Run loops
 # --------------------------------------------------------------------------
 
-def _event_step(state, variant: Variant, graph: Supergraph,
-                failures: FailureModel, dist: EventDistribution, pen,
-                rng: np.random.Generator, counters: Counters,
-                inner_budget: int, inner_tol: float | None):
-    """The variant's per-event function: draw one slot outcome and apply
-    it to ``state`` at the slot's penalties."""
-    if variant is Variant.ALBG:
-        rho = float(pen)
-        return lambda: step_bg(state, sample_event(dist, rng).node, rho,
-                               inner_budget, inner_tol, counters)
-    # Python floats index and multiply faster than numpy scalars.
-    pen = np.asarray(pen, dtype=float).tolist()
-    if variant is Variant.ALG:
-        return lambda: inner_step_alg(state, sample_event(dist, rng), pen,
-                                      inner_budget, inner_tol, counters)
-
-    def step():
-        ev = sample_event(dist, rng)
-        if ev.kind is EventKind.MG_BROADCAST:
-            ev = sample_mg_event(ev.node, graph, failures, rng)
-        inner_step_mg(state, ev, pen, inner_budget, inner_tol, counters)
-    return step
-
-
 def run_inner(state, variant: Variant, graph: Supergraph,
               failures: FailureModel, dist: EventDistribution,
               pen, rng: np.random.Generator, counters: Counters,
               k_inner: int, inner_budget: int = 50,
               inner_tol: float | None = None,
               stop_tol: float | None = None,
-              on_event=None) -> int:
+              on_checkpoint=None, checkpoint_every: int = 0) -> int:
     """Run the fast-scale loop for one outer slot.
 
-    Applies up to ``k_inner`` sampled events (``k_inner = 0`` leaves the
-    state unchanged apart from the final snapshot). When ``stop_tol`` is
-    given the loop also stops once every block has been re-minimized with
-    movement below the tolerance and no link value has drifted from its
-    receiver's copy by more than it. Records the final primal snapshot for
-    the dual update and returns the number of events applied.
+    Applies up to ``k_inner`` sampled events through one
+    :func:`slot_kernel` (``k_inner = 0`` leaves the state unchanged apart
+    from the final snapshot). When ``stop_tol`` is given the loop also
+    stops once every block has been re-minimized with movement below the
+    tolerance and no link value has drifted from its receiver's copy by
+    more than it. ``on_checkpoint()`` is called after each event that
+    brings ``counters.k`` to a multiple of ``checkpoint_every`` (0: never).
+    Records the final primal snapshot for the dual update and returns the
+    number of events applied.
     """
-    step = _event_step(state, variant, graph, failures, dist, pen, rng,
-                       counters, inner_budget, inner_tol)
-    state.reset_movement()
-    applied = 0
-    for _ in range(k_inner):
-        step()
-        counters.k += 1
-        applied += 1
-        if on_event is not None:
-            on_event()
-        if stop_tol is not None and state.converged(stop_tol):
-            break
+    apply = slot_kernel(state, variant, pen, counters, inner_budget,
+                        inner_tol, stop_tol)
+    start = k = counters.k
+    next_checkpoint = -1  # k never equals it
+    if on_checkpoint is not None and checkpoint_every:
+        next_checkpoint = (k // checkpoint_every + 1) * checkpoint_every
+    end = k + k_inner
+    broadcast = EventKind.MG_BROADCAST
+    try:
+        while k < end:
+            ev = sample_event(dist, rng)
+            if ev.kind is broadcast:
+                ev = sample_mg_event(ev.node, graph, failures, rng)
+            unsettled = apply(ev)
+            k += 1
+            if k == next_checkpoint:
+                counters.k = k
+                on_checkpoint()
+                next_checkpoint += checkpoint_every
+            if not unsettled:
+                break
+    finally:
+        counters.k = k
     state.snapshot_finals()
-    return applied
+    return k - start
 
 
 def make_state(variant: Variant, problem: ProblemInstance,
@@ -647,13 +674,9 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     for t in range(t_outer):
         if not adaptive:
             pen = penalties(t)
-
-        def on_event():
-            if checkpoint_every and counters.k % checkpoint_every == 0:
-                checkpoint(pen)
-
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
-                  k_inner, inner_budget, inner_tol, inner_stop_tol, on_event)
+                  k_inner, inner_budget, inner_tol, inner_stop_tol,
+                  lambda: checkpoint(pen), checkpoint_every)
         if not np.isfinite(state.x).all():
             raise NumericError(f"non-finite node estimate at the end of "
                                f"slot {t} (k={counters.k})")

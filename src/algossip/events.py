@@ -12,7 +12,7 @@ and no slot is ever void.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -69,9 +69,6 @@ class EventDistribution:
         # A list bisects faster than searchsorted on one scalar, with the
         # same index.
         self._cum = np.cumsum(probs).tolist()
-
-    def sample(self, rng: np.random.Generator) -> Event:
-        return self.outcomes[bisect.bisect_right(self._cum, rng.random())]
 
 
 def event_distribution(graph: Supergraph, failures: FailureModel,
@@ -132,7 +129,7 @@ class UniformStream:
 
 def sample_event(dist: EventDistribution, rng: np.random.Generator) -> Event:
     """One i.i.d. draw from ``dist``; deterministic for a fixed stream."""
-    return dist.sample(rng)
+    return dist.outcomes[bisect_right(dist._cum, rng.random())]
 
 
 def sample_mg_event(node: int, graph: Supergraph, failures: FailureModel,

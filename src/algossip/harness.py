@@ -374,6 +374,13 @@ class RunResult:
     final_x: np.ndarray
 
 
+def _build(spec: RunSpec):
+    """A config's problem, graph, failure model and instance hash."""
+    problem = build_problem(spec)
+    graph, failures = build_graph(spec, problem)
+    return problem, graph, failures, instance_hash(problem, graph, failures)
+
+
 def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
         seed: int | None = None,
         cache: OracleCache | None = None) -> RunResult:
@@ -386,9 +393,13 @@ def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
     spec = validate(config)
     run_seed = spec.seed if seed is None else seed
     _need(run_seed >= 0, f"seeds must be nonnegative, got {run_seed}")
-    problem = build_problem(spec)
-    graph, failures = build_graph(spec, problem)
-    inst_key = instance_hash(problem, graph, failures)
+    return _run_built(spec, _build(spec), run_seed, out_dir, cache)
+
+
+def _run_built(spec: RunSpec, built, run_seed: int, out_dir: str | None,
+               cache: OracleCache | None) -> RunResult:
+    """:func:`run` on an instance that :func:`_build` made for ``spec``."""
+    problem, graph, failures, inst_key = built
     if cache is None:
         cache = _cache_in(out_dir)
     fstar = resolve_fstar(spec, problem, inst_key, cache)
@@ -443,17 +454,28 @@ def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
 def compare(configs, thresholds, out_dir: str | None = None,
             cache: OracleCache | None = None) -> list[dict]:
     """Run several configs on the same instance and report the cumulative
-    transmissions each needs to reach each error threshold."""
+    transmissions each needs to reach each error threshold.
+
+    Every config is validated and built before any runs: configs that share
+    a name (their outputs would overwrite each other) raise
+    :class:`ConfigError`, and configs on different instances raise
+    :class:`MismatchError`, with nothing solved or written."""
     specs = [validate(c) for c in configs]
     thresholds = [_parse("a threshold", t) for t in thresholds]
-    results = []
+    seen = set()
     for spec in specs:
-        res = run(spec, out_dir=out_dir, cache=cache)
-        if results and (res.manifest["instance_hash"]
-                        != results[0][1].manifest["instance_hash"]):
+        _need(spec.name not in seen, f"two configs are named {spec.name!r}; "
+              f"their outputs would overwrite each other")
+        seen.add(spec.name)
+    built = [_build(spec) for spec in specs]
+    for spec, (*_, inst_key) in zip(specs, built):
+        if inst_key != built[0][-1]:
             raise MismatchError(f"config {spec.name!r} runs a different "
                                 f"instance than {specs[0].name!r}")
-        results.append((spec, res))
+    if cache is None:
+        cache = _cache_in(out_dir)
+    results = [(spec, _run_built(spec, inst, spec.seed, out_dir, cache))
+               for spec, inst in zip(specs, built)]
     table = []
     for spec, res in results:
         for thr in thresholds:

@@ -436,6 +436,9 @@ def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
     """
     if min(n_nodes, dim, samples_per_node) < 1:
         raise ValueError("all counts must be >= 1")
+    if not (math.isfinite(noise_var) and noise_var >= 0):
+        raise ValueError(f"noise_var must be finite and >= 0, got "
+                         f"{noise_var}")
     rng = np.random.default_rng(seed)
 
     def sparse_normal(shape):

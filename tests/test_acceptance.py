@@ -95,8 +95,9 @@ def test_acceptance_1_inner_descent():
             values = [lagrangian_eval(state, pen)]
             run_inner(state, variant, ring, failures, dist, pen, rng,
                       counters, k_inner=events_per_algo // 4,
-                      on_event=lambda: values.append(
-                          lagrangian_eval(state, pen)))
+                      on_checkpoint=lambda: values.append(
+                          lagrangian_eval(state, pen)),
+                      checkpoint_every=1)
             diffs = np.diff(values)
             assert np.all(diffs <= 1e-12), \
                 f"{variant.value}: ascent of {diffs.max()} within slot {t}"

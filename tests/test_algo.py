@@ -5,10 +5,9 @@ import pytest
 
 from algossip.algo import (ALBGState, ALGState, Counters, PenaltySchedule,
                            constraint_violations, default_inner_events,
-                           dual_update_alg, dual_update_bg, inner_step_alg,
-                           inner_step_mg, lagrangian_eval, make_state,
-                           penalty_at, run_inner, run_outer, step_bg,
-                           update_adaptive)
+                           dual_update_alg, dual_update_bg, lagrangian_eval,
+                           make_state, penalty_at, run_inner, run_outer,
+                           slot_kernel, update_adaptive)
 from algossip.errors import ConfigError, DomainError, KindError, \
     NumericError
 from algossip.events import Event, EventKind, Variant, event_distribution
@@ -19,6 +18,10 @@ from algossip.problem import QuadConsensusInstance
 def pen_of(graph, rho):
     """The same penalty on every arc's tie and link constraint."""
     return np.full((2, graph.num_arcs), rho)
+
+
+def bg_update(node):
+    return Event(EventKind.BG_UPDATE, node=node)
 
 
 class TestPenaltySchedule:
@@ -130,8 +133,8 @@ class TestInnerStepALG:
         state = ALGState(inst, pair_graph)
         before = copy.deepcopy((state.x, state.y, state.mu, state.lam))
         counters = Counters()
-        inner_step_alg(state, Event(EventKind.VOID), pen_of(pair_graph, 1.0),
-                       counters=counters)
+        slot_kernel(state, Variant.ALG, pen_of(pair_graph, 1.0),
+                    counters)(Event(EventKind.VOID))
         assert counters.transmissions == 1
         np.testing.assert_array_equal(state.x, before[0])
         np.testing.assert_array_equal(state.y, before[1])
@@ -146,10 +149,11 @@ class TestInnerStepALG:
         state.y_recv[:] = xbar
         pen = pen_of(ring4_graph, 2.0)
         arc_id = ring4_graph.arc_id
+        apply = slot_kernel(state, Variant.ALG, pen)
         for ev in [Event(EventKind.X_UPDATE, node=2),
                    Event(EventKind.Y_TRANSFER, arc=arc_id[(0, 1)]),
                    Event(EventKind.Y_TRANSFER, arc=arc_id[(3, 2)])]:
-            inner_step_alg(state, ev, pen, counters=Counters())
+            apply(ev)
         np.testing.assert_allclose(state.x, np.tile(xbar, (4, 1)),
                                    atol=1e-12)
         np.testing.assert_allclose(state.y, np.tile(xbar, (8, 1)),
@@ -167,7 +171,9 @@ class TestInnerStepALG:
         values = [lagrangian_eval(state, pen)]
         run_inner(state, Variant.ALG, pair_graph, failures, dist, pen, rng,
                   counters, k_inner=1000,
-                  on_event=lambda: values.append(lagrangian_eval(state, pen)))
+                  on_checkpoint=lambda: values.append(
+                      lagrangian_eval(state, pen)),
+                  checkpoint_every=1)
         assert len(values) == 1001
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-12)
@@ -179,8 +185,8 @@ class TestInnerStepALG:
         state.y[a01] = 0.7
         state.x[1] = np.array([2.0])
         counters = Counters()
-        inner_step_alg(state, Event(EventKind.Y_TRANSFER, arc=a01),
-                       pen_of(pair_graph, 1.0), counters=counters)
+        slot_kernel(state, Variant.ALG, pen_of(pair_graph, 1.0),
+                    counters)(Event(EventKind.Y_TRANSFER, arc=a01))
         np.testing.assert_array_equal(state.y_recv[a01], [0.7])
         assert state.stale[a01] == 0.0
         # y_10 = y_01/2 + x_1/2 + (mu - sign(0-1)*lam)/(2 rho), duals zero
@@ -232,8 +238,8 @@ class TestInnerStepMG:
         inst = QuadConsensusInstance([[0.0], [1.0], [3.0]])
         state = ALGState(inst, path3_graph)
         counters = Counters()
-        inner_step_mg(state, Event(EventKind.VOID, node=1),
-                      pen_of(path3_graph, 1.0), counters=counters)
+        slot_kernel(state, Variant.ALMG, pen_of(path3_graph, 1.0),
+                    counters)(Event(EventKind.VOID, node=1))
         assert counters.transmissions == 2
 
     def test_full_broadcast_equals_sequential_transfers(self, path3_graph):
@@ -250,12 +256,11 @@ class TestInnerStepMG:
         state_b = copy.deepcopy(state_a)
         pen = pen_of(path3_graph, 1.3)
         out = (path3_graph.arc_id[(1, 0)], path3_graph.arc_id[(1, 2)])
-        inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=1,
-                                     receivers=out), pen,
-                      counters=Counters())
+        slot_kernel(state_a, Variant.ALMG, pen)(
+            Event(EventKind.MG_BROADCAST, node=1, receivers=out))
+        apply_b = slot_kernel(state_b, Variant.ALG, pen)
         for a in out:
-            inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=a),
-                           pen, counters=Counters())
+            apply_b(Event(EventKind.Y_TRANSFER, arc=a))
         np.testing.assert_allclose(state_a.y, state_b.y, atol=1e-15)
 
     def test_single_neighbor_broadcast_reduces_to_pairwise(self, pair_graph):
@@ -265,11 +270,10 @@ class TestInnerStepMG:
         state_a.y[a01] = 0.9
         state_b = copy.deepcopy(state_a)
         pen = pen_of(pair_graph, 1.0)
-        inner_step_mg(state_a, Event(EventKind.MG_BROADCAST, node=0,
-                                     receivers=(a01,)), pen,
-                      counters=Counters())
-        inner_step_alg(state_b, Event(EventKind.Y_TRANSFER, arc=a01),
-                       pen, counters=Counters())
+        slot_kernel(state_a, Variant.ALMG, pen)(
+            Event(EventKind.MG_BROADCAST, node=0, receivers=(a01,)))
+        slot_kernel(state_b, Variant.ALG, pen)(
+            Event(EventKind.Y_TRANSFER, arc=a01))
         np.testing.assert_array_equal(state_a.y, state_b.y)
 
 
@@ -280,7 +284,7 @@ class TestBroadcastVariant:
         state = ALBGState(inst, pair_graph)
         state.x[1] = np.array([2.0])
         state.x_bcast[1] = np.array([2.0])
-        step_bg(state, 0, rho=1.0, counters=Counters())
+        slot_kernel(state, Variant.ALBG, 1.0)(bg_update(0))
         # stationarity: 2x - x1 + x = 0  =>  x = x1 / 3
         assert state.x[0][0] == pytest.approx(2.0 / 3.0)
 
@@ -289,8 +293,9 @@ class TestBroadcastVariant:
         state = ALBGState(inst, ring4_graph)
         state.x[:] = 0.8
         state.x_bcast[:] = 0.8
+        apply = slot_kernel(state, Variant.ALBG, 2.0)
         for node in range(4):
-            step_bg(state, node, rho=2.0, counters=Counters())
+            apply(bg_update(node))
         np.testing.assert_allclose(state.x, 0.8, atol=1e-12)
 
     def test_descent_along_exact_steps(self, ring4_graph):
@@ -300,8 +305,9 @@ class TestBroadcastVariant:
         rho = 1.0
         values = [lagrangian_eval(state, rho)]
         order = rng.integers(0, 4, size=400)
+        apply = slot_kernel(state, Variant.ALBG, rho)
         for node in order:
-            step_bg(state, int(node), rho, counters=Counters())
+            apply(bg_update(int(node)))
             values.append(lagrangian_eval(state, rho))
         assert np.all(np.diff(values) <= 1e-12)
 
@@ -331,8 +337,9 @@ class TestBroadcastVariant:
         inst = QuadConsensusInstance(rng.normal(size=(4, 2)))
         state = ALBGState(inst, ring4_graph)
         for _ in range(10):
+            apply = slot_kernel(state, Variant.ALBG, 1.5)
             for node in rng.integers(0, 4, size=30):
-                step_bg(state, int(node), 1.5, counters=Counters())
+                apply(bg_update(int(node)))
             state.snapshot_finals()
             dual_update_bg(state, rho=1.5)
             np.testing.assert_allclose(state.dual_sum(), 0.0, atol=1e-10)
@@ -402,6 +409,54 @@ class TestRunInner:
                   Counters(), k_inner=50_000, stop_tol=1e-12)
         np.testing.assert_allclose(state.x.ravel(), z_star[:3], atol=1e-6)
         np.testing.assert_allclose(state.y.ravel(), z_star[3:], atol=1e-6)
+
+    def test_checkpoints_fall_on_multiples_of_the_period(self, ring4_graph):
+        inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
+        failures = FailureModel.always_on(ring4_graph)
+        dist = event_distribution(ring4_graph, failures, Variant.ALG)
+        state = ALGState(inst, ring4_graph)
+        counters = Counters(k=5)
+        seen = []
+        applied = run_inner(state, Variant.ALG, ring4_graph, failures, dist,
+                            pen_of(ring4_graph, 1.0),
+                            np.random.default_rng(0), counters, k_inner=30,
+                            on_checkpoint=lambda: seen.append(counters.k),
+                            checkpoint_every=7)
+        assert applied == 30 and counters.k == 35
+        assert seen == [7, 14, 21, 28, 35]
+
+    def test_nan_movement_never_ends_a_slot(self, pair_graph, monkeypatch):
+        from algossip import algo
+
+        def nan_link(x_i, *args):
+            return np.full_like(x_i, np.nan)
+
+        monkeypatch.setattr(algo, "y_closed_form_peredge", nan_link)
+        inst = QuadConsensusInstance([[0.0], [2.0]])
+        failures = FailureModel.always_on(pair_graph)
+        dist = event_distribution(pair_graph, failures, Variant.ALG)
+        state = ALGState(inst, pair_graph)
+        with np.errstate(invalid="ignore"):
+            applied = run_inner(state, Variant.ALG, pair_graph, failures,
+                                dist, pen_of(pair_graph, 1.0),
+                                np.random.default_rng(0), Counters(),
+                                k_inner=200, stop_tol=1e300)
+        assert applied == 200
+        assert np.isnan(state.y).all()
+
+    @pytest.mark.parametrize("variant,event", [
+        (Variant.ALG, Event(EventKind.MG_BROADCAST, node=0, receivers=(0,))),
+        (Variant.ALMG, Event(EventKind.MG_BROADCAST, node=0)),
+        (Variant.ALMG, Event(EventKind.Y_TRANSFER, arc=0)),
+        (Variant.ALBG, Event(EventKind.X_UPDATE, node=0)),
+    ])
+    def test_kernel_rejects_events_of_another_variant(self, pair_graph,
+                                                      variant, event):
+        inst = QuadConsensusInstance([[0.0], [2.0]])
+        state = make_state(variant, inst, pair_graph)
+        pen = 1.0 if variant is Variant.ALBG else pen_of(pair_graph, 1.0)
+        with pytest.raises(KindError):
+            slot_kernel(state, variant, pen)(event)
 
     def test_fixed_seed_reproduces_trajectory(self, ring4_graph):
         inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
@@ -589,7 +644,8 @@ class TestDiagnostics:
         events = [Event(EventKind.X_UPDATE, node=i) for i in range(3)]
         events += [Event(EventKind.Y_TRANSFER, arc=a)
                    for a in range(path3_graph.num_arcs)]
+        apply = slot_kernel(state, Variant.ALG, pen)
         for ev in events:
-            inner_step_alg(state, ev, pen, counters=Counters())
+            apply(ev)
         np.testing.assert_allclose(state.x, x_before, atol=1e-11)
         np.testing.assert_allclose(state.y, y_before, atol=1e-11)

@@ -3,23 +3,33 @@ stored ``<name>_trace.csv`` and ``<name>_state.txt`` byte for byte.
 
 The configs cover alg, almg, albg and ps; the power, geometric, fixed and
 adaptive schedules; uniform and distance failures; and slots that end on
-``stop_tol``. A change that alters any seeded trajectory fails here. To
-regenerate the pinned files after an intended change of results, run
-``python tests/test_golden.py`` from the repository root (with ``src`` on
-the path) and record why in CHANGES.md.
+``stop_tol``. A change that alters any seeded trajectory fails here.
+``skipped_blocks.json`` pins, for each gossip config, the node and link
+block minimizations its run skipped as clean (the manifest's
+``skipped_blocks``), which the trace does not show. To regenerate the
+pinned files after an intended change of results, run
+``python tests/test_golden.py`` from the repository root and record why in
+CHANGES.md.
 """
 
+import json
 import shutil
 import sys
 from pathlib import Path
 
+if __name__ == "__main__":
+    # run as a script: import the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
 import pytest
 
 from algossip import harness
+from algossip.metrics import write_atomic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = sorted(GOLDEN.glob("*.cfg"))
 OUTPUTS = ("_trace.csv", "_state.txt")
+SKIPPED = GOLDEN / "skipped_blocks.json"
 
 
 def test_golden_set_is_complete():
@@ -53,22 +63,29 @@ def describe_difference(name: str, got: bytes, want: bytes) -> str:
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda p: p.stem)
 def test_run_reproduces_pinned_bytes(cfg, tmp_path):
-    harness.run(str(cfg), out_dir=str(tmp_path))
+    result = harness.run(str(cfg), out_dir=str(tmp_path))
     for suffix in OUTPUTS:
         name = cfg.stem + suffix
         got = (tmp_path / name).read_bytes()
         want = (GOLDEN / name).read_bytes()
         assert got == want, describe_difference(name, got, want)
+    pinned = json.loads(SKIPPED.read_text())
+    assert result.manifest.get("skipped_blocks") == pinned.get(cfg.stem)
 
 
 def regenerate(scratch: Path) -> None:
-    """Rerun every golden config into ``scratch`` and copy the pinned
-    outputs back next to their configs."""
+    """Rerun every golden config into ``scratch``, copy the pinned outputs
+    back next to their configs and rewrite ``skipped_blocks.json``."""
+    skipped = {}
     for cfg in CONFIGS:
-        harness.run(str(cfg), out_dir=str(scratch))
+        result = harness.run(str(cfg), out_dir=str(scratch))
         for suffix in OUTPUTS:
             shutil.copyfile(scratch / (cfg.stem + suffix),
                             GOLDEN / (cfg.stem + suffix))
+        if "skipped_blocks" in result.manifest:
+            skipped[cfg.stem] = result.manifest["skipped_blocks"]
+    write_atomic(SKIPPED, lambda fh: fh.write(
+        json.dumps(skipped, indent=1, sort_keys=True) + "\n"))
 
 
 if __name__ == "__main__":

@@ -490,6 +490,26 @@ class TestCompare:
         with pytest.raises(MismatchError):
             harness.compare([a, b], [1e-2])
 
+    def test_mismatch_is_found_before_anything_runs(self, tmp_path,
+                                                    monkeypatch):
+        golden = Path(__file__).resolve().parent / "golden"
+        a = golden / "almg_fixed_quad.cfg"
+        text = a.read_text()
+        problem = text[:text.index("[graph]")]
+        assert "seed = 5\n" in problem  # the instance seed
+        b = write_config(tmp_path, fname="b.cfg", body=text.replace(
+            "seed = 5\n", "seed = 6\n", 1))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the instances were checked")
+
+        monkeypatch.setattr(harness, "reference_value", no_solve)
+        monkeypatch.setattr(harness, "run_outer", no_solve)
+        out = tmp_path / "cmp"
+        with pytest.raises(MismatchError):
+            harness.compare([a, b], [1e-2], out_dir=str(out))
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestSweep:
     def test_multi_seed_summary(self, tmp_path):
@@ -602,11 +622,16 @@ class TestCLI:
         ["extract", "--trace", "{tmp}/malformed.csv"],
         ["oracle", "--config", "{cfg}", "--out", "{tmp}/out", "--budget",
          "0"],
+        ["compare", "--configs", "{cfg}", "{tmp}/sub/run.cfg",
+         "--thresholds", "1e-2", "--out", "{tmp}/out"],
     ], ids=["compare_thresholds", "extract_missing", "extract_malformed",
-            "oracle_budget"])
+            "oracle_budget", "compare_same_name"])
     def test_bad_arguments_exit_2_with_one_line(self, tmp_path, capsys,
                                                 args):
         cfg = write_config(tmp_path)
+        # another config named "run", on the same instance
+        (tmp_path / "sub").mkdir()
+        write_config(tmp_path / "sub", name="alg")
         (tmp_path / "malformed.csv").write_text(
             "t,k,transmissions,flops,err_f,L_value,max_dual_gap,feasible\n"
             "0,0,x\n")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,16 @@ class TestGenLogReg:
         inst = gen_logreg(3, 4, 5, noise_var=0.0, seed=0,
                           w_true=np.zeros(4), v_true=1.0)
         assert np.all(inst.labels == 1.0)
+
+    @pytest.mark.parametrize("noise_var", [-0.1, math.nan, math.inf])
+    def test_bad_noise_variance_is_rejected_before_drawing(self, noise_var,
+                                                           monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="noise_var"):
+            gen_logreg(3, 2, 4, noise_var, 0)
 
     def test_fixed_seed_reproduces_instance(self):
         a = gen_logreg(4, 6, 5, 0.1, seed=11)

@@ -1,6 +1,6 @@
-"""Property tests of the arc-id layout, the paper's invariants and the
-dirty-block rule on random connected geometric graphs with uneven degrees
-(2 to 7 nodes)."""
+"""Property tests of the arc-id layout, the paper's invariants, the
+dirty-block rule and the running stop count on random connected geometric
+graphs with uneven degrees (2 to 7 nodes)."""
 
 import copy
 from contextlib import contextmanager
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from algossip import algo
 from algossip.algo import (Counters, PenaltySchedule, Variant,
-                           dual_update_alg, dual_update_bg, inner_step_alg,
-                           lagrangian_eval, make_state, run_inner, run_outer)
-from algossip.events import Event, EventKind, event_distribution
+                           dual_update_alg, dual_update_bg, lagrangian_eval,
+                           make_state, run_inner, run_outer, slot_kernel)
+from algossip.events import (Event, EventKind, event_distribution,
+                             sample_event, sample_mg_event)
 from algossip.graph import FailureModel, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 from algossip.subsolve import y_closed_form_peredge
@@ -90,8 +91,8 @@ def test_every_event_descends(graph, variant, seed, rho, p):
         pen = penalty(variant, graph, rho * (1 + t))
         values = [lagrangian_eval(state, pen)]
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
-                  200, on_event=lambda: values.append(
-                      lagrangian_eval(state, pen)))
+                  200, on_checkpoint=lambda: values.append(
+                      lagrangian_eval(state, pen)), checkpoint_every=1)
         scale = max(1.0, float(np.abs(values).max()))
         assert np.all(np.diff(values) <= 1e-12 * scale)
         if variant is Variant.ALBG:
@@ -168,7 +169,7 @@ def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
             pen = penalty(variant, graph, rho * (1 + t))
             run_inner(state, variant, graph, failures, dist, pen, rng,
                       Counters(), 100, inner_budget=5,
-                      on_event=every_node_feasible)
+                      on_checkpoint=every_node_feasible, checkpoint_every=1)
             if variant is Variant.ALBG:
                 dual_update_bg(state, pen)
             else:
@@ -232,8 +233,8 @@ def resolved_node(state, i, pen):
     """Node i re-minimized from the current state, on a copy."""
     probe = copy.copy(state)
     probe.x = state.x.copy()
-    probe.reset_movement()  # fresh flag lists, on the probe only
-    inner_step_alg(probe, Event(EventKind.X_UPDATE, node=i), pen)
+    # a new slot on the probe: fresh flag lists, on the probe only
+    slot_kernel(probe, Variant.ALG, pen)(Event(EventKind.X_UPDATE, node=i))
     return probe.x[i]
 
 
@@ -297,8 +298,10 @@ def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
             last = {}
             run_inner(state, variant, graph, failures, dist, pen, rng,
                       counters, 150, inner_budget=5,
-                      on_event=lambda: check_event(state, seen, pen, last,
-                                                   kind != "logreg"))
+                      on_checkpoint=lambda: check_event(state, seen, pen,
+                                                        last,
+                                                        kind != "logreg"),
+                      checkpoint_every=1)
             dual_update_alg(state, pen)
 
 
@@ -318,3 +321,51 @@ def test_reset_movement_marks_every_block_dirty(graph, variant, kind, seed,
     state.reset_movement()
     assert state.node_dirty == [True] * graph.n
     assert state.link_dirty == [True] * graph.num_arcs
+
+
+def unsettled(state, tol):
+    """Movement and drift entries not below ``tol``, counted from the
+    state's lists (the broadcast state keeps only ``x_move``)."""
+    values = (state.x_move + getattr(state, "y_move", [])
+              + getattr(state, "stale", []))
+    return sum(not v < tol for v in values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(list(Variant)),
+       kind=st.sampled_from(KINDS), seed=SEEDS, rho=st.floats(0.2, 4.0),
+       p=st.floats(0.3, 1.0),
+       stop_tol=st.sampled_from((1e-12, 1e-6, 1e-3, 0.1)))
+def test_running_stop_count_matches_the_lists(graph, variant, kind, seed,
+                                              rho, p, stop_tol):
+    """The kernel's count equals the entries not below the tolerance after
+    every event, also past its first zero, and ``run_inner`` ends the slot
+    on the first event that brings it to zero (or on the cap)."""
+    inst = dirty_instance(kind, graph, seed)
+    failures = failures_for(variant, graph, p)
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, inst, graph)
+    cap = 120
+    for t in range(3):
+        pen = penalty(variant, graph, rho * (1 + t))
+        probe = copy.deepcopy(state)
+        rng = np.random.default_rng(seed + t)
+        apply = slot_kernel(probe, variant, pen, Counters(), 5, None,
+                            stop_tol)
+        implied = cap
+        for n in range(1, cap + 1):
+            ev = sample_event(dist, rng)
+            if ev.kind is EventKind.MG_BROADCAST:
+                ev = sample_mg_event(ev.node, graph, failures, rng)
+            count = apply(ev)
+            assert count == unsettled(probe, stop_tol)
+            if count == 0:
+                implied = min(implied, n)
+        applied = run_inner(state, variant, graph, failures, dist, pen,
+                            np.random.default_rng(seed + t), Counters(), cap,
+                            inner_budget=5, stop_tol=stop_tol)
+        assert applied == implied
+        if variant is Variant.ALBG:
+            dual_update_bg(state, pen)
+        else:
+            dual_update_alg(state, pen)
