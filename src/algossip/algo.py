@@ -116,20 +116,11 @@ def update_adaptive(rho_prev, eps_prev, eps_cur, kappa: float,
     Keeps a penalty where its violation decreased enough
     (``eps_cur <= kappa * eps_prev``) and multiplies it by ``sigma``
     elsewhere. The first outer step (no previous violations) keeps every
-    penalty.
+    penalty. ``kappa`` and ``sigma`` are those of
+    :meth:`PenaltySchedule.adaptive`, which checks them.
     """
-    if not (0 < kappa < 1):
-        raise DomainError(f"kappa must lie in (0, 1), got {kappa}")
-    if sigma <= 1:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
-    rho_prev = np.asarray(rho_prev, dtype=float)
-    if np.any(rho_prev <= 0):
-        raise DomainError(f"penalties must be positive, got {rho_prev}")
     if eps_prev is None:
         return rho_prev
-    eps_prev = np.asarray(eps_prev, dtype=float)
-    if np.any(eps_prev < 0):
-        raise DomainError("violations must be nonnegative")
     return np.where(eps_cur <= kappa * eps_prev, rho_prev, sigma * rho_prev)
 
 
@@ -179,7 +170,6 @@ class ALGState:
         self.stale = [float(np.linalg.norm(d)) for d in self.y - self.y_recv]
         self.t = 0
         self.reset_movement()
-        self.final = None
 
     def reset_movement(self) -> None:
         """Start a slot: no block re-minimized yet, every block dirty."""
@@ -187,9 +177,6 @@ class ALGState:
         self.y_move = [np.inf] * self.graph.num_arcs
         self.node_dirty = [True] * self.graph.n
         self.link_dirty = [True] * self.graph.num_arcs
-
-    def snapshot_finals(self) -> None:
-        self.final = (self.x.copy(), self.y.copy(), self.y_recv.copy())
 
     def max_dual_gap(self) -> float:
         """Largest disagreement between the two copies of a link dual."""
@@ -218,10 +205,12 @@ class ALGState:
 
 
 class ALBGState:
-    """State of the broadcast variant: per-node estimate, per-node
-    aggregated dual, and each node's copy of its neighbors' last broadcast.
-    The aggregated duals start at zero and always sum to zero across nodes
-    (every multiplier increment telescopes). The penalty is one float."""
+    """State of the broadcast variant: per-node estimate ``x`` and per-node
+    aggregated dual ``lam_bar``. Broadcasts are reliable, so each node's
+    copy of a neighbor's last broadcast is that neighbor's current
+    estimate, and ``x`` serves as both. The aggregated duals start at zero
+    and always sum to zero across nodes (every multiplier increment
+    telescopes). The penalty is one float."""
 
     def __init__(self, problem: ProblemInstance, graph: Supergraph):
         self.problem = problem
@@ -229,12 +218,9 @@ class ALBGState:
         m = problem.dim
         self.x = np.stack([problem.node_project(i, np.zeros(m))
                            for i in range(graph.n)])
-        # Copies as of the last broadcast; seeded during network setup.
-        self.x_bcast = self.x.copy()
         self.lam_bar = np.zeros((graph.n, m))
         self.t = 0
         self.reset_movement()
-        self.final = None
 
     def reset_movement(self) -> None:
         self.x_move = [np.inf] * self.graph.n
@@ -242,18 +228,8 @@ class ALBGState:
     def neighbor_sum(self, i: int) -> np.ndarray:
         out = np.zeros(self.problem.dim)
         for j in self.graph.neighbors[i]:
-            out += self.x_bcast[j]
+            out += self.x[j]
         return out
-
-    def snapshot_finals(self) -> None:
-        # Broadcasts are reliable, so the final local values and the final
-        # received copies coincide.
-        self.final = (self.x.copy(),
-                      np.stack([self.neighbor_sum(i)
-                                for i in range(self.graph.n)]))
-
-    def dual_sum(self) -> np.ndarray:
-        return self.lam_bar.sum(axis=0)
 
     def max_dual_gap(self) -> float:
         """Not defined: the aggregated duals have no per-link copies."""
@@ -329,13 +305,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
 
     if variant is Variant.ALBG:
         rho = float(pen)
-        lam_bar_rows, bcast_rows = list(state.lam_bar), list(state.x_bcast)
+        lam_bar_rows = list(state.lam_bar)
 
         def apply_bg(ev: Event) -> int:
             nonlocal unsettled
-            if ev.kind is not EventKind.BG_UPDATE:
-                raise KindError(f"event {ev.kind} is not part of the "
-                                f"broadcast variant")
             i = ev.node
             x_i = x_rows[i]
             new = solve_bg_block(problem, i, lam_bar_rows[i],
@@ -345,7 +318,6 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             d = new - x_i
             moved = math.sqrt(d.dot(d))
             x_i[...] = new
-            bcast_rows[i][...] = new
             unsettled += (x_move[i] < tol) - (moved < tol)
             x_move[i] = moved
             counters.transmissions += 1
@@ -376,7 +348,7 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
                        np.repeat(np.array(rho_mu[arcs])[:, None], dim, 1),
                        quad, [True] * (arcs.stop - arcs.start)))
     X_UPDATE, Y_TRANSFER = EventKind.X_UPDATE, EventKind.Y_TRANSFER
-    MG_BROADCAST, VOID = EventKind.MG_BROADCAST, EventKind.VOID
+    MG_BROADCAST = EventKind.MG_BROADCAST
 
     def x_update(i: int) -> None:
         nonlocal unsettled
@@ -455,11 +427,8 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             elif kind is Y_TRANSFER:
                 counters.transmissions += 1
                 deliver(ev.arc)
-            elif kind is VOID:
+            else:  # void
                 counters.transmissions += 1
-            else:
-                raise KindError(f"event {kind} is not part of the pairwise "
-                                f"variant")
             return unsettled
         return apply_alg
 
@@ -468,18 +437,11 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
         if kind is X_UPDATE:
             x_update(ev.node)
         elif kind is MG_BROADCAST:
-            if ev.receivers is None:
-                raise KindError("broadcast tick must be resolved into "
-                                "receivers before stepping (see "
-                                "sample_mg_event)")
             counters.transmissions += degrees[ev.node]
             for a in ev.receivers:
                 deliver(a)
-        elif kind is VOID:
+        else:  # void
             counters.transmissions += degrees[ev.node]
-        else:
-            raise KindError(f"event {kind} is not part of the "
-                            f"multi-neighbor variant")
         return unsettled
     return apply_mg
 
@@ -489,14 +451,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
 # --------------------------------------------------------------------------
 
 def constraint_violations(state: ALGState) -> np.ndarray:
-    """Per-arc violation norms at the last inner snapshot, as each node
-    observes them locally: row 0 holds the tie violations
-    ``||x_i - y_ij||``, row 1 the link violations ``||y_ij - y_recv_ji||``,
-    one column per arc id."""
-    if state.final is None:
-        raise ValueError("run the inner loop before reading violations")
-    x, y, y_recv = state.final
-    g = state.graph
+    """Per-arc violation norms of the current state, as each node observes
+    them locally: row 0 holds the tie violations ``||x_i - y_ij||``, row 1
+    the link violations ``||y_ij - y_recv_ji||``, one column per arc id."""
+    x, y, y_recv, g = state.x, state.y, state.y_recv, state.graph
     # Row by row: a norm over an axis can differ in the last bit, and
     # these values drive the adaptive penalties.
     return np.array([
@@ -506,34 +464,27 @@ def constraint_violations(state: ALGState) -> np.ndarray:
 
 
 def dual_update_alg(state: ALGState, pen) -> None:
-    """Multiplier step from the inner snapshot.
+    """Multiplier step at the primal values the slot ended on.
 
     Each arc's link dual moves by the penalty times the locally observable
-    disagreement (own final link value minus the last received copy of the
+    disagreement (own link value minus the last received copy of the
     partner's); each arc's tie dual moves by the penalty times the node-link
     gap. Advances the outer index.
     """
-    if state.final is None:
-        raise ValueError("run the inner loop before the dual update")
-    x, y, y_recv = state.final
-    g = state.graph
+    x, y, y_recv, g = state.x, state.y, state.y_recv, state.graph
     rho_mu, rho_lam = np.asarray(pen, dtype=float)
     state.lam += (rho_lam * g.arc_sign)[:, None] * (y - y_recv[g.arc_rev])
     state.mu += rho_mu[:, None] * (x[g.arc_src] - y)
     state.t += 1
-    state.final = None
 
 
 def dual_update_bg(state: ALBGState, rho: float) -> None:
     """Aggregated multiplier step: each node's dual moves by the penalty
-    times (degree * own final value - final neighbor sum). The across-node
-    dual sum stays zero because every pairwise difference telescopes."""
-    if state.final is None:
-        raise ValueError("run the inner loop before the dual update")
-    x, x_bar = state.final
-    state.lam_bar += rho * (state.graph.degrees[:, None] * x - x_bar)
+    times (degree * own value - neighbor sum). The across-node dual sum
+    stays zero because every pairwise difference telescopes."""
+    x_bar = np.stack([state.neighbor_sum(i) for i in range(state.graph.n)])
+    state.lam_bar += rho * (state.graph.degrees[:, None] * state.x - x_bar)
     state.t += 1
-    state.final = None
 
 
 def lagrangian_eval(state, pen) -> float:
@@ -557,14 +508,14 @@ def run_inner(state, variant: Variant, graph: Supergraph,
     """Run the fast-scale loop for one outer slot.
 
     Applies up to ``k_inner`` sampled events through one
-    :func:`slot_kernel` (``k_inner = 0`` leaves the state unchanged apart
-    from the final snapshot). When ``stop_tol`` is given the loop also
-    stops once every block has been re-minimized with movement below the
-    tolerance and no link value has drifted from its receiver's copy by
-    more than it. ``on_checkpoint()`` is called after each event that
-    brings ``counters.k`` to a multiple of ``checkpoint_every`` (0: never).
-    Records the final primal snapshot for the dual update and returns the
-    number of events applied.
+    :func:`slot_kernel` (``k_inner = 0`` leaves the state unchanged). When
+    ``stop_tol`` is given the loop also stops once every block has been
+    re-minimized with movement below the tolerance and no link value has
+    drifted from its receiver's copy by more than it. ``on_checkpoint()``
+    is called after each event that brings ``counters.k`` to a multiple of
+    ``checkpoint_every`` (0: never). Returns the number of events applied.
+    The dual step then reads the primal values the slot ended on from the
+    state itself: nothing writes them in between.
     """
     apply = slot_kernel(state, variant, pen, counters, inner_budget,
                         inner_tol, stop_tol)
@@ -589,7 +540,6 @@ def run_inner(state, variant: Variant, graph: Supergraph,
                 break
     finally:
         counters.k = k
-    state.snapshot_finals()
     return k - start
 
 
@@ -655,10 +605,17 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
         if not np.isfinite(state.x).all():
             raise NumericError(f"non-finite node estimate at k={counters.k}")
         err = float("nan") if fstar is None else err_f(problem, state.x, fstar)
+        if fstar is not None and not math.isfinite(err):
+            raise NumericError(f"non-finite err_f at k={counters.k}")
+        # it reads every state array and penalty, so an overflow in any
+        # of them shows here
+        L_value = lagrangian_eval(state, pen)
+        if not math.isfinite(L_value):
+            raise NumericError(f"non-finite augmented Lagrangian at "
+                               f"k={counters.k}")
         log.append(MetricsRow(
             t=state.t, k=counters.k, transmissions=counters.transmissions,
-            flops=counters.flops, err_f=err,
-            L_value=lagrangian_eval(state, pen),
+            flops=counters.flops, err_f=err, L_value=L_value,
             max_dual_gap=state.max_dual_gap(),
             feasible=problem.all_feasible(state.x, FEAS_TOL),
         ))

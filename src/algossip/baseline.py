@@ -9,6 +9,7 @@ draw with the smaller of the two arc probabilities succeeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,8 @@ def run_ps(problem: ProblemInstance, graph: Supergraph,
         if not np.isfinite(state.x).all():
             raise NumericError(f"non-finite estimate at round {state.k}")
         err = float("nan") if fstar is None else err_f(problem, state.x, fstar)
+        if fstar is not None and not math.isfinite(err):
+            raise NumericError(f"non-finite err_f at round {state.k}")
         log.append(MetricsRow(
             t=state.k, k=counters.k, transmissions=counters.transmissions,
             flops=counters.flops, err_f=err, L_value=float("nan"),

@@ -227,8 +227,9 @@ def validate(config: RunConfig | RunSpec | str) -> RunSpec:
                                  required=kind == "logreg", valid=_COUNT),
         noise_var=p.number("noise_var", "0.1", valid=_NONNEGATIVE),
         graph_file=graph_file,
-        radius=g.number("radius", required=graph_file is None,
-                        valid=_POSITIVE),
+        radius=g.number("radius", required=graph_file is None, valid=(
+            lambda v: v > 0 and math.isfinite(v * v),
+            "positive with a finite square")),
         graph_seed=g.count("seed", required=graph_file is None),
         failures=failures,
         failure_scale=g.number("failure_scale", "0.5",
@@ -508,23 +509,23 @@ def oracle(config: RunConfig | str, out_dir: str | None = None,
     """Compute (or fetch) the reference optimum for a config's instance."""
     _need(budget >= 1, f"the oracle budget must be >= 1, got {budget}")
     spec = validate(config)
-    problem = build_problem(spec)
-    graph, failures = build_graph(spec, problem)
-    key = instance_hash(problem, graph, failures)
+    problem, _, _, key = _build(spec)
     fstar, cached = _cached_fstar(_cache_in(out_dir), key, problem, budget)
     return {"instance_hash": key, "fstar": fstar, "cached": cached}
 
 
 def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[dict]:
-    """Run one config across several seeds; returns per-seed summaries."""
+    """Run one config across several seeds on one built instance; returns
+    per-seed summaries."""
     spec = validate(config)
     seeds = [int(s) for s in seeds]
     _need(min(seeds, default=0) >= 0,
           f"seeds must be nonnegative, got {seeds}")
     cache = _cache_in(out_dir)
+    built = _build(spec)
     rows = []
     for s in seeds:
-        res = run(spec, out_dir=None, seed=s, cache=cache)
+        res = _run_built(spec, built, s, None, cache)
         final = res.log.rows[-1]
         rows.append({"seed": s, "err_f": final.err_f,
                      "transmissions": final.transmissions,

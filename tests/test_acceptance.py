@@ -248,7 +248,7 @@ def test_acceptance_4_dual_copy_agreement_and_zero_sum():
         run_inner(state_bg, Variant.ALBG, ring, failures, dist_bg, 1.5, rng,
                   counters, k_inner=100_000, stop_tol=1e-10)
         dual_update_bg(state_bg, 1.5)
-        s = float(np.abs(state_bg.dual_sum()).max())
+        s = float(np.abs(state_bg.lam_bar.sum(axis=0)).max())
         worst_sum = max(worst_sum, s)
         assert s <= 1e-10
     elapsed = time.monotonic() - start

@@ -13,6 +13,7 @@ from algossip.events import EventKind
 from algossip.metrics import MetricsLog, MetricsRow, write_atomic
 from algossip.problem import err_f
 
+GOLDEN = Path(__file__).parent / "golden"
 QUAD_CONFIG = """
 [problem]
 kind = quad
@@ -586,6 +587,8 @@ class TestCLI:
         ([("name = alg", "name = albg"),
           ("radius = 0.9\nseed = 2\nfailures = always_on",
            "file = {tmp}/unreliable.txt")], ["run"]),
+        ([("radius = 0.9", "radius = 1e308"),
+          ("failures = always_on", "failures = distance")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
             "graph_file_disconnected", "negative_t_outer",
@@ -594,7 +597,7 @@ class TestCLI:
             "albg_adaptive", "sweep_run_seed", "nan_fstar",
             "negative_run_seed", "negative_seed_flag",
             "negative_sweep_seed", "no_section_header",
-            "albg_unreliable_graph_file"])
+            "albg_unreliable_graph_file", "overflowing_radius"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
         # edges 0-1 and 2-3 only: a network with two components
@@ -659,4 +662,25 @@ class TestCLI:
         cfg = write_config(tmp_path, body=runaway)
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli_main(["run", "--config", str(cfg)]) == 3
+
+    @pytest.mark.parametrize("golden,old,new", [
+        ("alg_adaptive_logreg", "schedule_params = 0.3,1.2,1",
+         "schedule_params = 0.3,1e308,1"),
+        ("almg_fixed_quad", "fstar = auto", "fstar = 1e308"),
+        ("ps_distance_logreg", "fstar = auto", "fstar = 1e308"),
+    ], ids=["overflowing_penalties", "overflowing_fstar",
+            "ps_overflowing_fstar"])
+    def test_overflow_exits_3_with_one_line(self, tmp_path, capsys, golden,
+                                            old, new):
+        body = (GOLDEN / f"{golden}.cfg").read_text()
+        assert old in body
+        cfg = tmp_path / f"{golden}.cfg"
+        cfg.write_text(body.replace(old, new))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert cli_main(["run", "--config", str(cfg),
+                             "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        assert not list(out.glob("*_trace.csv"))
 

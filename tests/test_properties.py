@@ -113,7 +113,7 @@ def test_albg_duals_sum_to_zero(graph, seed, rho):
         run_inner(state, Variant.ALBG, graph, failures, dist, rho, rng,
                   Counters(), 100)
         dual_update_bg(state, rho)
-        assert np.abs(state.dual_sum()).max() <= 1e-10
+        assert np.abs(state.lam_bar.sum(axis=0)).max() <= 1e-10
 
 
 @settings(max_examples=10, deadline=None)
