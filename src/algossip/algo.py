@@ -289,15 +289,17 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     (one transmission); ``pen`` is one float.
 
     Everything fixed for the slot is bound here once: the state's row
-    views, each node's out-arc penalty column and its sum, and the per-arc
-    penalties. The samplers and block solvers are looked up on this module
-    at call time.
+    views, each node's out-arc penalty column and its block subproblem
+    (weighted by the penalty sum), and the per-arc penalties. The samplers
+    and block solvers are looked up on this module at call time.
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)
     g, problem = state.graph, state.problem
     state.reset_movement()
-    tol = -math.inf if stop_tol is None else stop_tol  # nothing is below
+    # nothing is below -inf; a Python float keeps the flag arithmetic on
+    # bools (numpy bools cannot be subtracted)
+    tol = -math.inf if stop_tol is None else float(stop_tol)
     zero_below = 0.0 < tol
     x_move, x_rows = state.x_move, list(state.x)
     unsettled = sum(not v < tol for v in x_move)
@@ -336,8 +338,9 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     dim, link_flops = problem.dim, 8 * problem.dim
     zero = np.zeros(dim)
     # per node: its out-arc blocks of mu and y, their tie penalties (one
-    # row per arc, repeated across the columns), the penalty sum and a run
-    # of dirty flags for its links
+    # row per arc, repeated across the columns), its block subproblem (the
+    # penalty sum is its quadratic weight; each solve sets the linear term)
+    # and a run of dirty flags for its links
     blocks = []
     for i in range(g.n):
         arcs = g.out_slice[i]
@@ -346,7 +349,8 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             quad += r
         blocks.append((arcs, state.mu[arcs], state.y[arcs],
                        np.repeat(np.array(rho_mu[arcs])[:, None], dim, 1),
-                       quad, [True] * (arcs.stop - arcs.start)))
+                       XSubproblem(problem, i, zero, quad),
+                       [True] * (arcs.stop - arcs.start)))
     X_UPDATE, Y_TRANSFER = EventKind.X_UPDATE, EventKind.Y_TRANSFER
     MG_BROADCAST = EventKind.MG_BROADCAST
 
@@ -358,19 +362,17 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             counters.node_skips += 1
             return
         node_dirty[i] = False
-        arcs, mu_blk, y_blk, rho_blk, quad, dirty_run = blocks[i]
+        arcs, mu_blk, y_blk, rho_blk, sub, dirty_run = blocks[i]
         if dirty_run:
             # The arc terms summed one row at a time, in arc order: a
             # reduction over a single column would sum pairwise and round
             # differently. Adding zero last gives the bits of a sum started
             # from zero (it only turns a -0.0 into 0.0).
-            linear = np.add.accumulate(mu_blk - rho_blk * y_blk)[-1] + zero
-        else:  # a node without neighbors
-            linear = zero.copy()
+            sub.linear = np.add.accumulate(mu_blk - rho_blk * y_blk)[-1] \
+                + zero
+        # else: a node without neighbors keeps the zero linear term
         x_i = x_rows[i]
-        new = solve_x_block(XSubproblem(problem, i, linear, quad),
-                            inner_budget, inner_tol, warm_start=x_i,
-                            counters=counters)
+        new = solve_x_block(sub, inner_budget, inner_tol, x_i, counters)
         d = new - x_i
         moved = math.sqrt(d.dot(d))
         # A subnormal step can square to zero, and -0.0 == 0.0, so a zero

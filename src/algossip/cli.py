@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import harness
 from .errors import ConfigError, MismatchError, NumericError
 from .metrics import MetricsLog, write_atomic
@@ -125,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite value is reported once, by the NumericError it
+        # leads to, not by numpy warnings along the way.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, MismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ probability.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -213,10 +214,21 @@ class FailureModel:
     @classmethod
     def from_distance(cls, graph: Supergraph, radius: float,
                       scale: float) -> "FailureModel":
-        """Success probabilities ``1 - scale * d_ij^2 / r^2`` from positions."""
-        return cls(graph, [1.0 - failure_prob(graph.edge_distance(i, j),
-                                              radius, scale)
-                           for i, j in graph.arcs])
+        """Success probabilities ``1 - scale * d_ij^2 / r^2`` from positions.
+
+        Both arcs of an edge get the same value: one distance per edge,
+        ``sqrt(d.dot(d))``, which is what :meth:`Supergraph.edge_distance`
+        (``np.linalg.norm``) returns for either orientation."""
+        pos = graph.positions
+        if pos is None and graph.edges:
+            raise ValueError("graph has no positions")
+        p = [0.0] * graph.num_arcs
+        for (i, j), a, b in zip(graph.edges, graph.edge_fwd.tolist(),
+                                graph.arc_rev[graph.edge_fwd].tolist()):
+            d = pos[i] - pos[j]
+            p[a] = p[b] = 1.0 - failure_prob(math.sqrt(d.dot(d)), radius,
+                                             scale)
+        return cls(graph, p)
 
 
 def network_text(graph: Supergraph, failures: FailureModel) -> str:

@@ -46,9 +46,10 @@ class ProblemInstance(abc.ABC):
     Instances are immutable after construction and all callbacks are pure.
 
     The node solver uses ``quad_coeff`` of a ``quadratic`` family (a closed
-    form) and otherwise the composite callbacks ``node_smooth_gradient``,
-    ``node_smooth_lipschitz`` and ``node_prox`` (accelerated proximal
-    gradient), which return fresh arrays that it keeps without copying.
+    form) and otherwise the l1-logistic data of :class:`LogRegInstance`:
+    ``node_design``, ``node_smooth_lipschitz``, ``lam_reg`` and
+    ``node_prox`` (accelerated proximal gradient), whose fresh arrays it
+    keeps without copying.
 
     Checkpoint metrics and the synchronous baseline call whole-network
     callbacks on a 2-D array ``X`` of estimates instead:
@@ -313,16 +314,28 @@ class LogRegInstance(ProblemInstance):
     def node_smooth_gradient(self, i, x):
         return -self._design_t[i].dot(expit(self._neg[i].dot(x)))
 
+    def node_design(self, i):
+        """The negated design ``-D_i`` and its transpose ``D_i^T``, the
+        arrays behind ``node_value`` and ``node_smooth_gradient``: the
+        smooth part's gradient at ``x`` is ``-D_i^T expit(-D_i x)``."""
+        return self._neg[i], self._design_t[i]
+
     def node_smooth_lipschitz(self, i):
         return float(self._lip[i])
 
-    def node_prox(self, i, u, step):
+    def node_prox(self, i, u, step, threshold=None):
+        """The prox at ``u`` of ``step`` times the l1 term, over the node's
+        set. ``threshold`` is the l1 threshold ``step * lam_reg /
+        n_nodes``; a caller that makes many calls at one step can pass it
+        computed."""
         # soft-threshold the weights, then project; scaling a thresholded
         # vector radially solves the joint l1 + ball prox exactly
         out = np.array(u, dtype=float)
         w = out[:-1]
         shrunk = np.abs(w)
-        shrunk -= step * self.lam_reg / self.n_nodes
+        if threshold is None:
+            threshold = step * self.lam_reg / self.n_nodes
+        shrunk -= threshold
         np.maximum(shrunk, self._zero_w, out=shrunk)
         np.multiply(np.sign(w), shrunk, out=w)
         self._project_into(i, out)
@@ -374,26 +387,35 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
     dim = design.shape[1]
     lip = 0.25 * np.linalg.norm(design, 2) ** 2
     step = 1.0 / max(lip, 1e-12)
+    threshold = step * lam
+    # Same calls as the node callbacks: a negated design bound once (exact,
+    # and -0.0 and 0.0 give the same expit and logaddexp), ndarray.dot,
+    # math.sqrt, float comparisons for the interval, and the iterates kept
+    # by reference (prox writes the fresh array it is given). The transpose
+    # stays a view, so its products make the same BLAS calls.
+    neg, design_t = -design, design.T
 
-    # Same calls as the node callbacks: ndarray.dot, math.sqrt and the
-    # iterates kept by reference (prox returns fresh arrays).
     def smooth_grad(z):
-        return -design.T.dot(expit(-design.dot(z)))
+        return -design_t.dot(expit(neg.dot(z)))
 
     def objective(z):
-        return float(np.add.reduce(np.logaddexp(0.0, -design.dot(z)))
+        return float(np.add.reduce(np.logaddexp(0.0, neg.dot(z)))
                      + lam * np.add.reduce(np.abs(z[:n_w])))
 
-    def prox(u):
-        z = u.copy()
-        w = np.sign(z[:n_w]) * np.maximum(np.abs(z[:n_w]) - step * lam, 0.0)
+    def prox(z):  # z is a temporary, projected in place
+        w = z[:n_w]
+        w = np.sign(w) * np.maximum(np.abs(w) - threshold, 0.0)
         if ball_sq is not None:
             nrm_sq = w.dot(w)
             if nrm_sq > ball_sq:
                 w *= math.sqrt(ball_sq / nrm_sq)
         z[:n_w] = w
         if v_bound is not None:
-            z[n_w:] = np.clip(z[n_w:], -v_bound, v_bound)
+            for k in range(n_w, dim):
+                if z[k] > v_bound:
+                    z[k] = v_bound
+                elif z[k] < -v_bound:
+                    z[k] = -v_bound
         return z
 
     z = prox(np.zeros(dim))

@@ -543,6 +543,22 @@ class TestRunOuter:
                             PenaltySchedule.power(1.3, 1.0), **kw)
         assert log1 == log2
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_numpy_scalar_stop_tolerance_gives_the_same_trace(
+            self, ring4_graph, variant):
+        inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
+        failures = None if variant is Variant.ALBG else \
+            FailureModel.uniform(ring4_graph, 0.7)
+        logs = [run_outer(inst, ring4_graph, variant,
+                          PenaltySchedule.fixed(2.0), t_outer=4,
+                          k_inner=4000, seed=2, failures=failures,
+                          fstar=inst.analytic_optimum()[1],
+                          inner_stop_tol=tol, checkpoint_every=25)[0]
+                for tol in (1e-6, np.float64(1e-6))]
+        lines = [[r.to_csv_line() for r in log.rows] for log in logs]
+        assert lines[0] == lines[1]
+        assert logs[0].rows[-1].k < 4 * 4000  # some slot met the tolerance
+
     def test_adaptive_schedule_runs_and_converges(self, ring4_graph):
         rng = np.random.default_rng(4)
         inst = QuadConsensusInstance(rng.normal(size=(4, 1)))

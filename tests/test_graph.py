@@ -154,6 +154,16 @@ class TestFailureModel:
                 1.0 - 0.5 * d ** 2 / 0.6 ** 2)
             assert model.p[g.arc_id[arc]] > 0
 
+    def test_distance_based_model_has_the_bits_of_each_arc_distance(self):
+        # one distance per edge serves both arcs
+        g = build_geometric(12, 0.5, seed=5)
+        model = FailureModel.from_distance(g, 0.5, 0.5)
+        assert model.p == tuple(
+            1.0 - failure_prob(g.edge_distance(*arc), 0.5, 0.5)
+            for arc in g.arcs)
+        with pytest.raises(ValueError, match="no positions"):
+            FailureModel.from_distance(Supergraph(2, [(0, 1)]), 0.5, 0.5)
+
 
 class TestNetworkIO:
     def test_round_trip(self, tmp_path):

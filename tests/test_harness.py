@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -683,4 +684,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
         assert not list(out.glob("*_trace.csv"))
+
+    def test_overflow_warns_nothing_before_its_one_line(self, tmp_path,
+                                                        capsys):
+        # No errstate here: the CLI must keep numpy's warnings, which
+        # Python would print to stderr, from reaching the user.
+        body = (GOLDEN / "alg_adaptive_logreg.cfg").read_text()
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(body.replace("schedule_params = 0.3,1.2,1",
+                                    "schedule_params = 0.3,1e308,1"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", "--config", str(cfg),
+                             "--out", str(tmp_path / "out")]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite augmented Lagrangian at k=900\n")
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.optimize import minimize_scalar
 from algossip.algo import PenaltySchedule, Variant, run_outer
 from algossip.errors import DomainError
 from algossip.graph import build_geometric
-from algossip.problem import LogRegInstance, QuadConsensusInstance
+from algossip.problem import (LogRegInstance, QuadConsensusInstance,
+                              gen_logreg)
 from algossip.subsolve import (XSubproblem, solve_bg_block, solve_x_block,
                                y_closed_form_peredge)
 
@@ -278,6 +280,36 @@ class TestSolveXBlock:
             grad = prob.node_smooth_gradient(0, x) + c + q * x
             np.testing.assert_allclose(
                 prob.node_prox(0, x - step * grad, step), x, atol=1e-9)
+
+    def test_strongly_convex_blocks_converge_at_the_vfista_rate(self):
+        # Random blocks on the two desk instances' nodes, cold started at
+        # the projected zero, as every node's first solve is. With
+        # kappa = (lip + q)/q, V-FISTA guarantees F(x_k) - F* <= (1 -
+        # 1/sqrt(kappa))^k (F(x_0) - F* + (q/2)||x_0 - x*||^2) (Beck,
+        # First-Order Methods in Optimization, Theorem 10.42).
+        rng = np.random.default_rng(0)
+        probs = [gen_logreg(10, 10, 5, 0.1, seed) for seed in (3, 6)]
+        for trial in range(60):
+            prob = probs[trial % 2]
+            i = int(rng.integers(prob.n_nodes))
+            q = float(rng.uniform(0.5, 30.0))
+            sub = XSubproblem(prob, i, rng.normal(size=prob.dim), q)
+            x0 = prob.node_project(i, np.zeros(prob.dim))
+            star = solve_x_block(sub, 2000, 0.0, x0)
+            f_star = sub.objective(star)
+            rate = 1.0 - math.sqrt(q / (prob.node_smooth_lipschitz(i) + q))
+            d = x0 - star
+            start_gap = sub.objective(x0) - f_star + 0.5 * q * d.dot(d)
+            slack = 1e-14 * abs(f_star)  # rounding in the objectives
+            for k in (1, 3, 10, 25):
+                gap = sub.objective(solve_x_block(sub, k, None, x0)) - f_star
+                assert gap <= rate ** k * start_gap + slack
+            # the run's settings: within 1e-12 of the long solve, or of
+            # what the rate promises after 25 iterations when that is more
+            # (kappa near 10 from far away)
+            gap = sub.objective(solve_x_block(sub, 25, 1e-10, x0)) - f_star
+            assert abs(gap) <= max(1e-12 * abs(f_star),
+                                   rate ** 25 * start_gap + slack)
 
     def test_zero_denominator_returns_the_warm_start(self, monkeypatch):
         # 2w + q = 0 only for a one-node network whose node has weight 0:
