@@ -290,8 +290,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
 
     Everything fixed for the slot is bound here once: the state's row
     views, each node's out-arc penalty column and its block subproblem
-    (weighted by the penalty sum), and the per-arc penalties. The samplers
-    and block solvers are looked up on this module at call time.
+    (weighted by the penalty sum, and holding ``f_i`` at the node's
+    estimate, evaluated here and kept current by the solves), and the
+    per-arc penalties. The samplers and block solvers are looked up on this
+    module at call time.
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)
@@ -305,9 +307,16 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     unsettled = sum(not v < tol for v in x_move)
     degrees = g.degrees.tolist()
 
+    # f_i at x[i] per node, which code outside a slot may have changed; the
+    # block solves keep it current (see XSubproblem.value)
+    values = [problem.node_value(i, x_i) for i, x_i in enumerate(x_rows)]
+    zero = np.zeros(problem.dim)
+
     if variant is Variant.ALBG:
         rho = float(pen)
         lam_bar_rows = list(state.lam_bar)
+        subs = [XSubproblem(problem, i, zero, rho * float(d), values[i])
+                for i, d in enumerate(degrees)]
 
         def apply_bg(ev: Event) -> int:
             nonlocal unsettled
@@ -316,7 +325,7 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             new = solve_bg_block(problem, i, lam_bar_rows[i],
                                  state.neighbor_sum(i), degrees[i], rho,
                                  inner_budget, inner_tol, warm_start=x_i,
-                                 counters=counters)
+                                 counters=counters, sub=subs[i])
             d = new - x_i
             moved = math.sqrt(d.dot(d))
             x_i[...] = new
@@ -336,11 +345,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     # Python floats index and multiply faster than numpy scalars.
     rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
     dim, link_flops = problem.dim, 8 * problem.dim
-    zero = np.zeros(dim)
     # per node: its out-arc blocks of mu and y, their tie penalties (one
     # row per arc, repeated across the columns), its block subproblem (the
-    # penalty sum is its quadratic weight; each solve sets the linear term)
-    # and a run of dirty flags for its links
+    # penalty sum is its quadratic weight; each solve sets the linear term;
+    # it caches f_i) and a run of dirty flags for its links
     blocks = []
     for i in range(g.n):
         arcs = g.out_slice[i]
@@ -349,7 +357,7 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             quad += r
         blocks.append((arcs, state.mu[arcs], state.y[arcs],
                        np.repeat(np.array(rho_mu[arcs])[:, None], dim, 1),
-                       XSubproblem(problem, i, zero, quad),
+                       XSubproblem(problem, i, zero, quad, values[i]),
                        [True] * (arcs.stop - arcs.start)))
     X_UPDATE, Y_TRANSFER = EventKind.X_UPDATE, EventKind.Y_TRANSFER
     MG_BROADCAST = EventKind.MG_BROADCAST

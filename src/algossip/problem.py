@@ -43,13 +43,14 @@ class ProblemInstance(abc.ABC):
     Subclasses expose the node objective ``f_i``, a subgradient of it, the
     Euclidean projection onto the node's constraint set, and the flop
     estimates ``value_flops(i)`` and ``subgrad_flops(i)`` of the first two.
-    Instances are immutable after construction and all callbacks are pure.
+    Instances are immutable after construction and all callbacks are pure,
+    except that ``node_prox`` writes its result into the array it is given.
 
     The node solver uses ``quad_coeff`` of a ``quadratic`` family (a closed
     form) and otherwise the l1-logistic data of :class:`LogRegInstance`:
     ``node_design``, ``node_smooth_lipschitz``, ``lam_reg`` and
-    ``node_prox`` (accelerated proximal gradient), whose fresh arrays it
-    keeps without copying.
+    ``node_prox`` (accelerated proximal gradient), which it calls on its
+    own temporaries.
 
     Checkpoint metrics and the synchronous baseline call whole-network
     callbacks on a 2-D array ``X`` of estimates instead:
@@ -259,7 +260,6 @@ class LogRegInstance(ProblemInstance):
         self._ball = self.ball_sq.tolist()
         self._vmax = self.v_bound.tolist()
         self._zero_s = np.zeros(self.n_samples)
-        self._zero_w = np.zeros(self.n_features)
 
     def node_value(self, i, x):
         loss = np.add.reduce(np.logaddexp(self._zero_s, self._neg[i].dot(x)))
@@ -325,21 +325,24 @@ class LogRegInstance(ProblemInstance):
 
     def node_prox(self, i, u, step, threshold=None):
         """The prox at ``u`` of ``step`` times the l1 term, over the node's
-        set. ``threshold`` is the l1 threshold ``step * lam_reg /
-        n_nodes``; a caller that makes many calls at one step can pass it
-        computed."""
-        # soft-threshold the weights, then project; scaling a thresholded
-        # vector radially solves the joint l1 + ball prox exactly
-        out = np.array(u, dtype=float)
-        w = out[:-1]
-        shrunk = np.abs(w)
+        set, written into ``u`` (a float array), which is returned.
+        ``threshold`` is the l1 threshold ``t = step * lam_reg / n_nodes``;
+        a caller that makes many calls at one step can pass the pair
+        ``(t, -t)`` computed, as 0-d arrays, which numpy does not convert
+        on every call."""
+        # soft-threshold the weights as w - clip(w, -t, t) (three calls;
+        # np.clip costs more than its two halves), then project; scaling a
+        # thresholded vector radially solves the joint l1 + ball prox
+        # exactly
         if threshold is None:
-            threshold = step * self.lam_reg / self.n_nodes
-        shrunk -= threshold
-        np.maximum(shrunk, self._zero_w, out=shrunk)
-        np.multiply(np.sign(w), shrunk, out=w)
-        self._project_into(i, out)
-        return out
+            t = step * self.lam_reg / self.n_nodes
+            threshold = (t, -t)
+        w = u[:-1]
+        clipped = np.minimum(w, threshold[0])
+        np.maximum(clipped, threshold[1], out=clipped)
+        w -= clipped
+        self._project_into(i, u)
+        return u
 
     def reference_solution(self,
                            max_iter: int = 20000) -> tuple[np.ndarray, float]:

@@ -10,35 +10,45 @@ start: the accelerated solver checks this once, at the end of the solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError
-from .problem import LogRegInstance, ProblemInstance
+from .problem import ProblemInstance
 
 
-def _block_value(problem: ProblemInstance, i: int, linear: np.ndarray,
-                 q: float, x: np.ndarray) -> float:
-    return (problem.node_value(i, x) + float(linear.dot(x))
-            + 0.5 * q * float(x.dot(x)))
+def _block_value(f: float, linear: np.ndarray, q: float,
+                 x: np.ndarray) -> float:
+    """The block objective at ``x``, given ``f = f_i(x)``."""
+    return f + float(linear.dot(x)) + 0.5 * q * float(x.dot(x))
 
 
 @dataclass
 class XSubproblem:
     """Node-block data: minimize ``f_i(x) + linear^T x + (quad_weight/2)
     ||x||^2`` over the node's constraint set. ``quad_weight`` is positive
-    whenever the penalty is positive and the node has a neighbor."""
+    whenever the penalty is positive and the node has a neighbor.
+
+    ``value`` is ``f_i`` at the warm start of the next solve when the
+    caller keeps it (``None``: each solve evaluates it). A solve given a
+    value replaces it with ``f_i`` at the point it returns, so a caller
+    that warm-starts each solve at the previous result, as the slot kernel
+    does, evaluates ``f_i`` once per solve. ``loop`` holds what the
+    l1-logistic solver binds on its first solve of this block and reuses
+    while ``quad_weight`` stays the same (see :func:`_bind_composite`)."""
 
     problem: ProblemInstance
     node: int
     linear: np.ndarray
     quad_weight: float
+    value: float | None = None
+    loop: tuple | None = field(default=None, repr=False)
 
     def objective(self, x: np.ndarray) -> float:
-        return _block_value(self.problem, self.node, self.linear,
-                            self.quad_weight, x)
+        return _block_value(self.problem.node_value(self.node, x),
+                            self.linear, self.quad_weight, x)
 
 
 def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
@@ -55,41 +65,89 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     returned. The l1-logistic objectives use accelerated proximal gradient
     with constant momentum, which the added ``(q/2)||x||^2`` term makes
     linearly convergent (see :func:`_solve_composite`). In every case the
-    result never has a larger block objective than the warm start.
+    result never has a larger block objective than the warm start: one
+    block objective is evaluated per solve when ``sub.value`` holds the
+    warm start's ``f_i``, two when it is ``None``.
     """
-    return _solve_block(sub.problem, sub.node, sub.linear, sub.quad_weight,
-                        inner_budget, inner_tol, warm_start, counters)
-
-
-def _solve_block(prob: ProblemInstance, i: int, linear: np.ndarray,
-                 q: float, inner_budget: int, inner_tol: float | None,
-                 warm_start: np.ndarray | None, counters) -> np.ndarray:
     if inner_budget < 1:
         raise ValueError("inner_budget must be >= 1")
+    prob, i = sub.problem, sub.node
     if warm_start is None:
         warm_start = prob.node_project(i, np.zeros(prob.dim))
-
     if not prob.quadratic:
-        return _solve_composite(prob, i, linear, q, inner_budget, inner_tol,
-                                warm_start, counters)
+        return _solve_composite(sub, inner_budget, inner_tol, warm_start,
+                                counters)
     w, a = prob.quad_coeff(i)
-    denom = 2.0 * w + q
+    denom = 2.0 * w + sub.quad_weight
     if denom <= 0:
         return np.array(warm_start, dtype=float)
-    x = prob.node_project(i, (2.0 * w * a - linear) / denom)
+    x = prob.node_project(i, (2.0 * w * a - sub.linear) / denom)
     if counters is not None:
         counters.flops += 6 * prob.dim
     # Exact minimizer; the safeguard can still matter at the
     # boundary of floating point so keep it.
-    if (_block_value(prob, i, linear, q, x)
-            <= _block_value(prob, i, linear, q, warm_start)):
+    if _no_worse(sub, x, warm_start):
         return x
-    return np.asarray(warm_start, dtype=float).copy()
+    return np.array(warm_start, dtype=float)
 
 
-def _solve_composite(prob: LogRegInstance, i: int, linear: np.ndarray,
-                     q: float, inner_budget: int, inner_tol: float | None,
-                     warm_start: np.ndarray, counters) -> np.ndarray:
+def _no_worse(sub: XSubproblem, x: np.ndarray, warm: np.ndarray) -> bool:
+    """The safeguard: whether ``x``'s block objective is no larger than the
+    warm start's. A cached ``sub.value`` is the warm start's ``f_i`` and is
+    replaced by ``f_i`` at the point the solve keeps."""
+    prob, i, linear, q = sub.problem, sub.node, sub.linear, sub.quad_weight
+    f_x = prob.node_value(i, x)
+    f_warm = sub.value
+    cached = f_warm is not None
+    if not cached:
+        f_warm = prob.node_value(i, warm)
+    keep = _block_value(f_x, linear, q, x) <= _block_value(f_warm, linear,
+                                                            q, warm)
+    if cached:
+        sub.value = f_x if keep else f_warm
+    return keep
+
+
+def _bind_composite(sub: XSubproblem) -> tuple:
+    """What the l1-logistic loop reads, for the block's ``quad_weight``.
+
+    The prox-gradient point ``y - step*(grad f_i(y) + c + q*y)`` is
+    ``step*D^T expit(-D y) + (1 - step*q)*y - step*c``, one product of the
+    matrix ``[step*D^T | (1 - step*q)*I | -step*c]`` with the work vector
+    ``[expit(-D y); y; 1]``. The matrix is Fortran-ordered so that its last
+    column, the only part that depends on ``c``, is contiguous: each solve
+    rewrites it. The loop writes ``expit(-D y)`` and ``y`` into views of
+    the work vector. ``-step``, the momentum and the l1 threshold pair
+    ``(t, -t)`` for ``node_prox`` are 0-d arrays, so numpy does not convert
+    a float operand on every call.
+    """
+    prob, i, q = sub.problem, sub.node, sub.quad_weight
+    neg, design_t = prob.node_design(i)
+    lip_q = prob.node_smooth_lipschitz(i) + q
+    step = 1.0 / max(lip_q, 1e-12)
+    momentum = 0.0
+    if q > 0:
+        root = math.sqrt(lip_q / q)
+        momentum = 1.0 - 2.0 / (root + 1.0)  # (root - 1)/(root + 1)
+    threshold = step * prob.lam_reg / prob.n_nodes
+    samples, dim = neg.shape
+    fused = np.zeros((dim, samples + dim + 1), order="F")
+    fused[:, :samples] = step * design_t
+    np.fill_diagonal(fused[:, samples:-1], 1.0 - step * q)
+    work = np.zeros(samples + dim + 1)
+    work[-1] = 1.0
+    # flops: per iteration the gradient, the prox and 8*dim of vector work;
+    # per binding the step-scaled design
+    iter_flops = prob.subgrad_flops(i) + 8 * dim
+    return (q, neg, fused, fused[:, -1], np.array(-step), work,
+            work[:samples], work[samples:-1], step,
+            (np.array(threshold), np.array(-threshold)), np.array(momentum),
+            iter_flops, prob.value_flops(i), design_t.size)
+
+
+def _solve_composite(sub: XSubproblem, inner_budget: int,
+                     inner_tol: float | None, warm_start: np.ndarray,
+                     counters) -> np.ndarray:
     """Accelerated proximal gradient on an l1-logistic node block, warm
     started, with the constant momentum of a strongly convex objective.
 
@@ -105,46 +163,39 @@ def _solve_composite(prob: LogRegInstance, i: int, linear: np.ndarray,
     block objective is no larger than the warm start's, otherwise a copy
     of the warm start.
 
-    Everything the loop reads is bound once per solve: the node's negated
-    design and its step-scaled transpose, the step, the momentum and the
-    l1 threshold. The prox-gradient point ``y - step*(grad f_i(y) + c +
-    q*y)`` is formed as ``step*D^T expit(-D y) - step*c + (1 - step*q)*y``.
+    An iteration is one fused product for the prox-gradient point (see
+    :func:`_bind_composite`, bound on the block's first solve at its
+    quadratic weight), the prox, which works in place on that product,
+    and the movement and momentum point, written into the work vector.
     """
-    neg, design_t = prob.node_design(i)
+    prob, i, loop = sub.problem, sub.node, sub.loop
+    binding = loop is None or loop[0] != sub.quad_weight
+    if binding:
+        loop = sub.loop = _bind_composite(sub)
+    (_, neg, fused, last, neg_step, work, sigma, y, step, threshold,
+     momentum, iter_flops, value_flops, bind_flops) = loop
+    np.multiply(sub.linear, neg_step, out=last)
     prox = prob.node_prox
-    lip_q = prob.node_smooth_lipschitz(i) + q
-    step = 1.0 / max(lip_q, 1e-12)
-    momentum = 0.0
-    if q > 0:
-        root = math.sqrt(lip_q / q)
-        momentum = 1.0 - 2.0 / (root + 1.0)  # (root - 1)/(root + 1)
-    threshold = step * prob.lam_reg / prob.n_nodes
-    scaled_t = step * design_t
-    offset = step * linear
-    # 0-d arrays: numpy would convert a float operand on every call
-    shrink, momentum = np.array(1.0 - step * q), np.array(momentum)
     tol = -1.0 if inner_tol is None else inner_tol  # a norm is never below
     x0 = np.array(warm_start, dtype=float)
-    x = y = x0
-    for iters in range(1, inner_budget + 1):  # _solve_block checks >= 1
-        u = scaled_t.dot(expit(neg.dot(y)))
-        u -= offset
-        u += shrink * y
-        x_new = prox(i, u, step, threshold)
+    y[...] = x0
+    x = x0
+    for iters in range(1, inner_budget + 1):  # solve_x_block checks >= 1
+        expit(neg.dot(y), out=sigma)
+        x_new = prox(i, fused.dot(work), step, threshold)
         d = x_new - x
         x = x_new
         if math.sqrt(d.dot(d)) <= tol:
             break
-        y = x + momentum * d
+        np.multiply(d, momentum, out=y)
+        y += x  # x + momentum*d: addition commutes bit for bit
     if counters is not None:
-        # per iteration: gradient, prox and 8*dim of vector work; per
-        # solve: the step-scaled design and linear term, two block
-        # objectives
-        counters.flops += (iters * (prob.subgrad_flops(i) + 8 * prob.dim)
-                           + scaled_t.size + prob.dim
-                           + 2 * prob.value_flops(i))
-    if (_block_value(prob, i, linear, q, x)
-            <= _block_value(prob, i, linear, q, x0)):
+        # per solve: the last column and one block objective, two without
+        # a cached value
+        counters.flops += (iters * iter_flops + prob.dim
+                           + (1 + (sub.value is None)) * value_flops
+                           + binding * bind_flops)
+    if _no_worse(sub, x, x0):
         return x
     return x0
 
@@ -187,11 +238,16 @@ def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,
                    x_bar: np.ndarray, degree: int, rho: float,
                    inner_budget: int = 50, inner_tol: float | None = None,
                    warm_start: np.ndarray | None = None,
-                   counters=None) -> np.ndarray:
+                   counters=None, sub: XSubproblem | None = None) -> np.ndarray:
     """Node block of the broadcast variant: minimize
     ``f_i(x) + (lam_bar - rho*x_bar)^T x + (rho*degree/2)||x||^2``
     over the node's set; same solver and safeguard as
-    :func:`solve_x_block`."""
-    return _solve_block(problem, node, lam_bar - rho * x_bar,
-                        rho * float(degree), inner_budget, inner_tol,
-                        warm_start, counters)
+    :func:`solve_x_block`. ``sub``, when given, is this node's block from
+    earlier solves: this solve sets its linear term and quadratic weight
+    and reuses and updates its cached ``value`` and bound loop data."""
+    linear, quad = lam_bar - rho * x_bar, rho * float(degree)
+    if sub is None:
+        sub = XSubproblem(problem, node, linear, quad)
+    else:
+        sub.linear, sub.quad_weight = linear, quad
+    return solve_x_block(sub, inner_budget, inner_tol, warm_start, counters)

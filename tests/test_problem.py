@@ -317,9 +317,11 @@ def textbook_project(inst, i, x):
 
 
 def textbook_prox(inst, i, u, step):
+    # soft-thresholding in the Moreau form u - P_[-t, t](u), which gives
+    # +0.0 for every weight inside [-t, t]
     out = np.asarray(u, dtype=float).copy()
     thr = step * inst.lam_reg / inst.n_nodes
-    out[:-1] = np.sign(out[:-1]) * np.maximum(np.abs(out[:-1]) - thr, 0.0)
+    out[:-1] = out[:-1] - np.clip(out[:-1], -thr, thr)
     return textbook_project(inst, i, out)
 
 
@@ -377,7 +379,9 @@ class TestLogRegCallbacksBitForBit:
             (SPARSE.node_subgradient(i, x),
              textbook_subgradient(SPARSE, i, x)),
             (SPARSE.node_project(i, x), textbook_project(SPARSE, i, x)),
-            (SPARSE.node_prox(i, u, step), textbook_prox(SPARSE, i, u, step)),
+            # node_prox writes the array it is given: hand it a copy
+            (SPARSE.node_prox(i, np.array(u, dtype=float), step),
+             textbook_prox(SPARSE, i, u, step)),
         ]
         for got, want in pairs:
             assert same_bits(got, want), (got, want)
@@ -390,7 +394,6 @@ class TestLogRegCallbacksBitForBit:
             lambda v: SPARSE.node_smooth_gradient(i, v),
             lambda v: SPARSE.node_subgradient(i, v),
             lambda v: SPARSE.node_project(i, v),
-            lambda v: SPARSE.node_prox(i, v, step),
         ]
         for call in calls:
             before = x.copy()
@@ -402,6 +405,13 @@ class TestLogRegCallbacksBitForBit:
         before = x.copy()
         SPARSE.node_value(i, x)
         assert same_bits(x, before)
+        # the prox works in place: it writes the array it is given and
+        # returns it, whether it computes the threshold or is given it
+        thr = step * SPARSE.lam_reg / SPARSE.n_nodes
+        for threshold in (None, (np.array(thr), np.array(-thr))):
+            v = u.copy()
+            assert SPARSE.node_prox(i, v, step, threshold) is v
+            assert same_bits(v, textbook_prox(SPARSE, i, u, step))
 
 
 # --------------------------------------------------------------------------

@@ -369,3 +369,72 @@ def test_running_stop_count_matches_the_lists(graph, variant, kind, seed,
             dual_update_bg(state, pen)
         else:
             dual_update_alg(state, pen)
+
+
+@contextmanager
+def solved_blocks(state):
+    """Wrap the node solvers that the kernel calls through ``algo``.
+    Yields the node blocks (``XSubproblem``) the solves were given, by
+    node; before each solve, the block's cached ``f_i`` must be that of
+    the warm start, the node's current estimate."""
+    blocks = {}
+    originals = {name: getattr(algo, name)
+                 for name in ("solve_x_block", "solve_bg_block")}
+
+    def seen(sub):
+        assert_cached(state, sub)
+        blocks[sub.node] = sub
+
+    def x_solver(sub, *args, **kwargs):
+        seen(sub)
+        return originals["solve_x_block"](sub, *args, **kwargs)
+
+    def bg_solver(*args, sub=None, **kwargs):
+        seen(sub)
+        return originals["solve_bg_block"](*args, sub=sub, **kwargs)
+
+    algo.solve_x_block, algo.solve_bg_block = x_solver, bg_solver
+    try:
+        yield blocks
+    finally:
+        for name, fn in originals.items():
+            setattr(algo, name, fn)
+
+
+def assert_cached(state, sub):
+    i = sub.node
+    want = state.problem.node_value(i, state.x[i])
+    assert np.float64(sub.value).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(list(Variant)),
+       kind=st.sampled_from(KINDS), seed=SEEDS, rho=st.floats(0.2, 4.0),
+       p=st.floats(0.3, 1.0))
+def test_cached_node_values_follow_the_estimates(graph, variant, kind, seed,
+                                                 rho, p):
+    """Each node block's cached f_i equals ``node_value(i, x[i])`` bit for
+    bit after every event, and estimates written between slots are picked
+    up at the next slot start."""
+    inst = dirty_instance(kind, graph, seed)
+    failures = failures_for(variant, graph, p)
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, inst, graph)
+    rng = np.random.default_rng(seed)
+    with solved_blocks(state) as blocks:
+        for t in range(3):
+            pen = penalty(variant, graph, rho * (1 + t))
+            blocks.clear()
+            run_inner(state, variant, graph, failures, dist, pen, rng,
+                      Counters(), 80, inner_budget=5,
+                      on_checkpoint=lambda: [assert_cached(state, sub)
+                                             for sub in blocks.values()],
+                      checkpoint_every=1)
+            assert blocks
+            if variant is Variant.ALBG:
+                dual_update_bg(state, pen)
+            else:
+                dual_update_alg(state, pen)
+            # code outside a slot may write the estimates
+            state.x[...] = inst.project(
+                state.x + rng.normal(scale=0.3, size=state.x.shape))

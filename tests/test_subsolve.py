@@ -176,6 +176,22 @@ def small_logreg():
     return LogRegInstance(features, labels, 0.3, [4.0], [2.0]), rng
 
 
+def random_block(prob, i, q, broadcast, rng):
+    """A random node block of weight ``q`` and the solver for it: the
+    pairwise variants' (``solve_x_block``) or, with ``broadcast``, the
+    broadcast variant's (``solve_bg_block``, with a random degree)."""
+    if not broadcast:
+        sub = XSubproblem(prob, i, rng.normal(size=prob.dim), q)
+        return sub, lambda budget, tol, start: solve_x_block(sub, budget,
+                                                             tol, start)
+    degree = int(rng.integers(1, 7))
+    rho = q / degree
+    lam_bar, x_bar = rng.normal(size=(2, prob.dim))
+    sub = XSubproblem(prob, i, lam_bar - rho * x_bar, rho * float(degree))
+    return sub, lambda budget, tol, start: solve_bg_block(
+        prob, i, lam_bar, x_bar, degree, rho, budget, tol, start)
+
+
 def check_safeguarded(prob, sub, x, warm, kept):
     """The node solver's contract: a feasible fresh array no worse than the
     warm start, which is left as it was."""
@@ -286,30 +302,77 @@ class TestSolveXBlock:
         # the projected zero, as every node's first solve is. With
         # kappa = (lip + q)/q, V-FISTA guarantees F(x_k) - F* <= (1 -
         # 1/sqrt(kappa))^k (F(x_0) - F* + (q/2)||x_0 - x*||^2) (Beck,
-        # First-Order Methods in Optimization, Theorem 10.42).
+        # First-Order Methods in Optimization, Theorem 10.42), also with
+        # the ball and interval active. The desk instances' sets are loose
+        # (their runs never reach them); the tight copies shrink them so
+        # that most solutions sit on the ball or the interval bound.
         rng = np.random.default_rng(0)
-        probs = [gen_logreg(10, 10, 5, 0.1, seed) for seed in (3, 6)]
-        for trial in range(60):
-            prob = probs[trial % 2]
-            i = int(rng.integers(prob.n_nodes))
-            q = float(rng.uniform(0.5, 30.0))
-            sub = XSubproblem(prob, i, rng.normal(size=prob.dim), q)
-            x0 = prob.node_project(i, np.zeros(prob.dim))
-            star = solve_x_block(sub, 2000, 0.0, x0)
-            f_star = sub.objective(star)
-            rate = 1.0 - math.sqrt(q / (prob.node_smooth_lipschitz(i) + q))
-            d = x0 - star
-            start_gap = sub.objective(x0) - f_star + 0.5 * q * d.dot(d)
-            slack = 1e-14 * abs(f_star)  # rounding in the objectives
-            for k in (1, 3, 10, 25):
-                gap = sub.objective(solve_x_block(sub, k, None, x0)) - f_star
-                assert gap <= rate ** k * start_gap + slack
-            # the run's settings: within 1e-12 of the long solve, or of
-            # what the rate promises after 25 iterations when that is more
-            # (kappa near 10 from far away)
-            gap = sub.objective(solve_x_block(sub, 25, 1e-10, x0)) - f_star
-            assert abs(gap) <= max(1e-12 * abs(f_star),
-                                   rate ** 25 * start_gap + slack)
+        loose = [gen_logreg(10, 10, 5, 0.1, seed) for seed in (3, 6)]
+        tight = [LogRegInstance(p.features, p.labels, p.lam_reg,
+                                0.01 * p.ball_sq, 0.05 * p.v_bound)
+                 for p in loose]
+        for probs, broadcast in itertools.product((loose, tight),
+                                                  (False, True)):
+            active = 0
+            for trial in range(30):
+                prob = probs[trial % 2]
+                i = int(rng.integers(prob.n_nodes))
+                q = float(rng.uniform(0.5, 30.0))
+                sub, solve = random_block(prob, i, q, broadcast, rng)
+                x0 = prob.node_project(i, np.zeros(prob.dim))
+                star = solve(2000, 0.0, x0)
+                w = star[:-1]
+                active += bool(
+                    w.dot(w) >= (1 - 1e-9) * prob.ball_sq[i]
+                    or abs(star[-1]) >= (1 - 1e-9) * prob.v_bound[i])
+                f_star = sub.objective(star)
+                rate = 1.0 - math.sqrt(
+                    q / (prob.node_smooth_lipschitz(i) + q))
+                d = x0 - star
+                start_gap = sub.objective(x0) - f_star + 0.5 * q * d.dot(d)
+                slack = 1e-14 * abs(f_star)  # rounding in the objectives
+                for k in (1, 3, 10, 25):
+                    gap = sub.objective(solve(k, None, x0)) - f_star
+                    assert gap <= rate ** k * start_gap + slack
+                # the run's settings: within 1e-12 of the long solve, or
+                # of what the rate promises after 25 iterations when that
+                # is more (kappa near 10 from far away)
+                gap = sub.objective(solve(25, 1e-10, x0)) - f_star
+                assert abs(gap) <= max(1e-12 * abs(f_star),
+                                       rate ** 25 * start_gap + slack)
+            if probs is tight:
+                assert active >= 20
+
+    def test_kept_block_solves_like_fresh_blocks(self):
+        # A block kept across solves, as the slot kernel keeps it, rewrites
+        # its linear term and rebinds when its quadratic weight changes; a
+        # stale bound term would show as a difference in the bits
+        prob = gen_logreg(10, 10, 5, 0.1, 6)
+        rng = np.random.default_rng(5)
+        for i in range(prob.n_nodes):
+            x = prob.node_project(i, rng.normal(size=prob.dim))
+            kept = XSubproblem(prob, i, np.zeros(prob.dim), 2.0,
+                               prob.node_value(i, x))
+            for q in (2.0, 2.0, 2.0, 7.5, 7.5):
+                c = rng.normal(size=prob.dim)
+                fresh = solve_x_block(XSubproblem(prob, i, c, q), 25, 1e-10,
+                                      x)
+                kept.linear, kept.quad_weight = c, q
+                got = solve_x_block(kept, 25, 1e-10, x)
+                assert got.tobytes() == fresh.tobytes()
+                assert kept.value == prob.node_value(i, got)
+                x = got
+            # the broadcast solver, given the kept block
+            lam_bar, x_bar = rng.normal(size=(2, prob.dim))
+            for rho in (0.5, 0.5, 1.25):
+                fresh = solve_bg_block(prob, i, lam_bar, x_bar, 3, rho, 25,
+                                       1e-10, x)
+                got = solve_bg_block(prob, i, lam_bar, x_bar, 3, rho, 25,
+                                     1e-10, x, sub=kept)
+                assert got.tobytes() == fresh.tobytes()
+                assert kept.value == prob.node_value(i, got)
+                x = got
+                lam_bar = lam_bar + rng.normal(size=prob.dim)
 
     def test_zero_denominator_returns_the_warm_start(self, monkeypatch):
         # 2w + q = 0 only for a one-node network whose node has weight 0:
