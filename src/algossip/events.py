@@ -13,9 +13,9 @@ and no slot is ever void.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +38,16 @@ class EventKind(Enum):
     VOID = "void"
 
 
-@dataclass(frozen=True)
-class Event:
-    """One fast-scale slot outcome.
+class Event(NamedTuple):
+    """One fast-scale slot outcome, an immutable record compared by value.
 
     ``node`` identifies the updating/broadcasting node, ``arc`` the arc id
     of a pairwise transfer, ``receivers`` the ids of the broadcaster's
     out-arcs that delivered a multi-neighbor broadcast. Void events carry
     the broadcaster's id when the failed attempt originated from a known
-    node (multi-neighbor case).
+    node (multi-neighbor case). A named tuple, because every resolved
+    broadcast tick builds one: it is built in about half the time of a
+    frozen dataclass.
     """
 
     kind: EventKind

@@ -28,8 +28,8 @@ from .errors import ConfigError, ConnectivityFailure, DomainError, \
 from .graph import (FailureModel, Supergraph, build_geometric, load_network,
                     network_text)
 from .metrics import MetricsLog, write_atomic
-from .problem import (ProblemInstance, QuadConsensusInstance, gen_logreg,
-                      instance_text, load_instance)
+from .problem import (ProblemInstance, QuadConsensusInstance, draw_logreg,
+                      fit_logreg, instance_text, load_instance)
 
 KNOWN_KEYS = {
     "problem": {"kind", "file", "nodes", "dim", "targets", "seed", "spread",
@@ -256,8 +256,18 @@ def build_problem(spec: RunSpec) -> ProblemInstance:
     if spec.kind == "file":
         return _checked("problem", load_instance, spec.problem_file)
     if spec.kind == "logreg":
-        return gen_logreg(spec.nodes, spec.dim, spec.samples_per_node,
-                          spec.noise_var, spec.problem_seed)
+        # a one-class draw has no logistic minimizer: its reference solves
+        # run their whole budget and f* depends on it, so it is refused
+        # before the first of them
+        rng, features, labels, meta = draw_logreg(
+            spec.nodes, spec.dim, spec.samples_per_node, spec.noise_var,
+            spec.problem_seed)
+        pos = int((labels > 0).sum())
+        _need(0 < pos < labels.size,
+              f"[problem] the draw has {pos} positive and "
+              f"{labels.size - pos} negative labels; logistic regression "
+              f"needs both (change seed, samples_per_node or noise_var)")
+        return fit_logreg(rng, features, labels, meta)
     targets = (np.array(spec.targets) if spec.targets is not None
                else np.random.default_rng(spec.problem_seed).normal(
                    0.0, spec.spread, (spec.nodes, spec.dim)))

@@ -6,6 +6,11 @@ subgradient, and projection callbacks. Two families are provided: an
 l1-regularized logistic-regression instance (stacked weight/offset variable,
 ball and interval constraints) and a quadratic-consensus instance whose
 optimum is available in closed form, used as the desk-scale oracle.
+
+Only the logistic family needs scipy (its sigmoid, ``scipy.special.expit``),
+so scipy is imported where a logistic instance is built or solved, not
+here: importing the package, a quadratic run and a rejected config load
+numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .metrics import write_atomic
 
@@ -214,6 +218,8 @@ class LogRegInstance(ProblemInstance):
     """
 
     def __init__(self, features, labels, lam_reg, ball_sq, v_bound, meta=None):
+        from scipy.special import expit
+
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=float)
         if features.ndim != 3:
@@ -260,13 +266,14 @@ class LogRegInstance(ProblemInstance):
         self._ball = self.ball_sq.tolist()
         self._vmax = self.v_bound.tolist()
         self._zero_s = np.zeros(self.n_samples)
+        self._expit = expit
 
     def node_value(self, i, x):
         loss = np.add.reduce(np.logaddexp(self._zero_s, self._neg[i].dot(x)))
         return float(loss + self._l1 * np.add.reduce(np.abs(x[:-1])))
 
     def node_subgradient(self, i, x):
-        g = -self._design_t[i].dot(expit(self._neg[i].dot(x)))
+        g = -self._design_t[i].dot(self._expit(self._neg[i].dot(x)))
         # 0 is the chosen subdifferential element at the l1 kink.
         g[:-1] += self._l1 * np.sign(x[:-1])
         return g
@@ -288,7 +295,7 @@ class LogRegInstance(ProblemInstance):
 
     def subgradients(self, X):
         u = np.matmul(self._negs, X[:, :, None])
-        g = -np.matmul(self._designs_t, expit(u))[..., 0]
+        g = -np.matmul(self._designs_t, self._expit(u))[..., 0]
         g[:, :-1] += self._l1 * np.sign(X[:, :-1])
         return g
 
@@ -312,7 +319,7 @@ class LogRegInstance(ProblemInstance):
             out[-1] = -vmax
 
     def node_smooth_gradient(self, i, x):
-        return -self._design_t[i].dot(expit(self._neg[i].dot(x)))
+        return -self._design_t[i].dot(self._expit(self._neg[i].dot(x)))
 
     def node_design(self, i):
         """The negated design ``-D_i`` and its transpose ``D_i^T``, the
@@ -387,6 +394,8 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
                            max_iter, tol):
     """FISTA on ``sum log(1+exp(-design z)) + lam ||z[:n_w]||_1`` with
     optional ball/interval constraints; returns the best iterate."""
+    from scipy.special import expit
+
     dim = design.shape[1]
     lip = 0.25 * np.linalg.norm(design, 2) ** 2
     step = 1.0 / max(lip, 1e-12)
@@ -458,7 +467,20 @@ def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
     that zeroes the weights (computed from the loss gradient at zero weights
     and the optimal intercept), and the constraint radii are inflated copies
     of an unconstrained reference solve so that the solution is interior.
+    The two steps are :func:`draw_logreg` and :func:`fit_logreg`.
     """
+    return fit_logreg(*draw_logreg(n_nodes, dim, samples_per_node,
+                                   noise_var, seed, sparsity, w_true,
+                                   v_true), ref_budget)
+
+
+def draw_logreg(n_nodes: int, dim: int, samples_per_node: int,
+                noise_var: float, seed: int, sparsity: float = 0.6,
+                w_true=None, v_true=None) -> tuple:
+    """The samples of :func:`gen_logreg`: ``(rng, features, labels,
+    meta)``, with ``rng`` left where :func:`fit_logreg` goes on drawing
+    the constraint radii. A caller can check the labels here, before the
+    reference solve."""
     if min(n_nodes, dim, samples_per_node) < 1:
         raise ValueError("all counts must be >= 1")
     if not (math.isfinite(noise_var) and noise_var >= 0):
@@ -480,7 +502,19 @@ def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
     noise = rng.standard_normal((n_nodes, samples_per_node)) * np.sqrt(noise_var)
     score = features @ w_true + v_true + noise
     labels = np.where(score >= 0, 1.0, -1.0)
+    meta = {"seed": int(seed), "noise_var": float(noise_var),
+            "w_true": w_true.tolist(), "v_true": v_true}
+    return rng, features, labels, meta
 
+
+def fit_logreg(rng: np.random.Generator, features: np.ndarray,
+               labels: np.ndarray, meta: dict,
+               ref_budget: int = 20000) -> LogRegInstance:
+    """The instance on samples from :func:`draw_logreg`: the penalty, the
+    reference solve and the constraint radii."""
+    from scipy.special import expit
+
+    n_nodes, samples_per_node, dim = features.shape
     # Smallest penalty that makes the weights vanish: the sup-norm of the
     # loss gradient in w at w = 0 with the intercept chosen optimally.
     pos = float((labels > 0).sum())
@@ -507,15 +541,8 @@ def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
     ball_sq = (1.0 + rng.random(n_nodes)) * base_w
     v_bound = (1.0 + rng.random(n_nodes)) * base_v
 
-    meta = {
-        "seed": int(seed),
-        "noise_var": float(noise_var),
-        "lambda_max": lambda_max,
-        "w_true": w_true.tolist(),
-        "v_true": v_true,
-        "w_ref": w_ref.tolist(),
-        "v_ref": v_ref,
-    }
+    meta = dict(meta, lambda_max=lambda_max, w_ref=w_ref.tolist(),
+                v_ref=v_ref)
     return LogRegInstance(features, labels, lam_reg, ball_sq, v_bound, meta)
 
 

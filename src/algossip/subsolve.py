@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
 from .problem import ProblemInstance
@@ -119,8 +118,12 @@ def _bind_composite(sub: XSubproblem) -> tuple:
     rewrites it. The loop writes ``expit(-D y)`` and ``y`` into views of
     the work vector. ``-step``, the momentum and the l1 threshold pair
     ``(t, -t)`` for ``node_prox`` are 0-d arrays, so numpy does not convert
-    a float operand on every call.
+    a float operand on every call. The sigmoid ``expit`` travels in the
+    tuple too: scipy is imported here, on a logistic block's first solve,
+    not when the package is.
     """
+    from scipy.special import expit
+
     prob, i, q = sub.problem, sub.node, sub.quad_weight
     neg, design_t = prob.node_design(i)
     lip_q = prob.node_smooth_lipschitz(i) + q
@@ -139,7 +142,7 @@ def _bind_composite(sub: XSubproblem) -> tuple:
     # flops: per iteration the gradient, the prox and 8*dim of vector work;
     # per binding the step-scaled design
     iter_flops = prob.subgrad_flops(i) + 8 * dim
-    return (q, neg, fused, fused[:, -1], np.array(-step), work,
+    return (q, expit, neg, fused, fused[:, -1], np.array(-step), work,
             work[:samples], work[samples:-1], step,
             (np.array(threshold), np.array(-threshold)), np.array(momentum),
             iter_flops, prob.value_flops(i), design_t.size)
@@ -172,7 +175,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     binding = loop is None or loop[0] != sub.quad_weight
     if binding:
         loop = sub.loop = _bind_composite(sub)
-    (_, neg, fused, last, neg_step, work, sigma, y, step, threshold,
+    (_, expit, neg, fused, last, neg_step, work, sigma, y, step, threshold,
      momentum, iter_flops, value_flops, bind_flops) = loop
     np.multiply(sub.linear, neg_step, out=last)
     prox = prob.node_prox

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -39,6 +41,40 @@ k_inner = 120
 seed = 0
 checkpoint = 60
 fstar = auto
+"""
+
+
+# the quad problem becomes gen_logreg(4, 5, 4, 0.1, seed=3), whose 16
+# labels are all +1
+ONE_CLASS_EDIT = ("kind = quad\nnodes = 4\ndim = 1\ntargets = 0; 1; 2; 3",
+                  "kind = logreg\nnodes = 4\ndim = 5\n"
+                  "samples_per_node = 4\nseed = 3")
+ONE_CLASS_CONFIG = QUAD_CONFIG.format(name="alg", t_outer=2,
+                                      extra="").replace(*ONE_CLASS_EDIT)
+# Imports algossip, runs a quad config and two bad configs through the CLI,
+# then builds a logistic instance; prints whether scipy.special was loaded
+# after each step.
+SCIPY_PROBE = """
+import sys
+import numpy as np
+
+
+def loaded():
+    return "scipy.special" in sys.modules
+
+
+import algossip
+from algossip.cli import main
+steps = [loaded()]
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+steps.append(loaded())
+for bad in sys.argv[3:]:
+    assert main(["run", "--config", bad]) == 2
+    steps.append(loaded())
+from algossip.problem import LogRegInstance
+LogRegInstance(np.ones((1, 2, 1)), [[1.0, -1.0]], 0.1, [1.0], [1.0])
+steps.append(loaded())
+print(steps)
 """
 
 
@@ -590,6 +626,7 @@ class TestCLI:
            "file = {tmp}/unreliable.txt")], ["run"]),
         ([("radius = 0.9", "radius = 1e308"),
           ("failures = always_on", "failures = distance")], ["run"]),
+        ([ONE_CLASS_EDIT], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
             "graph_file_disconnected", "negative_t_outer",
@@ -598,7 +635,8 @@ class TestCLI:
             "albg_adaptive", "sweep_run_seed", "nan_fstar",
             "negative_run_seed", "negative_seed_flag",
             "negative_sweep_seed", "no_section_header",
-            "albg_unreliable_graph_file", "overflowing_radius"])
+            "albg_unreliable_graph_file", "overflowing_radius",
+            "one_class_logreg"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
         # edges 0-1 and 2-3 only: a network with two components
@@ -643,6 +681,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_one_class_draw_names_its_label_counts(self, tmp_path):
+        spec = harness.validate(str(write_config(tmp_path,
+                                                 body=ONE_CLASS_CONFIG)))
+        with pytest.raises(ConfigError,
+                           match="16 positive and 0 negative labels"):
+            harness.build_problem(spec)
+
+    def test_only_the_logistic_family_loads_scipy(self, tmp_path):
+        good = write_config(tmp_path, name="alg", t_outer=2)
+        malformed = write_config(tmp_path, fname="malformed.cfg",
+                                 body="[problem]\nkind = quad\n")
+        one_class = write_config(tmp_path, fname="one_class.cfg",
+                                 body=ONE_CLASS_CONFIG)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(harness.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, str(good),
+             str(tmp_path / "out"), str(malformed), str(one_class)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        # import, quad run, two config errors: no scipy; logistic: scipy
+        assert done.stdout.split("\n")[-2] == (
+            "[False, False, False, False, True]")
 
     def test_compare_checks_every_config_before_running_any(self, tmp_path,
                                                             capsys):
