@@ -252,13 +252,15 @@ class ALBGState:
 @dataclass
 class Counters:
     """Cumulative fast-scale counters for one run, including the node and
-    link block minimizations skipped because the block was clean."""
+    link block minimizations skipped because the block was clean, and the
+    link block minimizations made."""
 
     k: int = 0
     transmissions: int = 0
     flops: int = 0
     node_skips: int = 0
     link_skips: int = 0
+    link_solves: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -291,9 +293,13 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     Everything fixed for the slot is bound here once: the state's row
     views, each node's out-arc penalty column and its block subproblem
     (weighted by the penalty sum, and holding ``f_i`` at the node's
-    estimate, evaluated here and kept current by the solves), and the
-    per-arc penalties. The samplers and block solvers are looked up on this
-    module at call time.
+    estimate, evaluated here and kept current by the solves), and each
+    arc's link minimizer as an affine map of the owner's estimate and the
+    received link value (:func:`~algossip.subsolve.y_closed_form_peredge`,
+    which raises :class:`DomainError` here if an arc's penalty sum is not
+    positive). A delivery writes those two vectors into a work vector and
+    makes one product with its arc's map. The samplers and block solvers
+    are looked up on this module at call time.
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)
@@ -340,11 +346,16 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     unsettled += sum(not v < tol for v in y_move)
     unsettled += sum(not v < tol for v in stale)
     y_rows, y_recv_rows = list(state.y), list(state.y_recv)
-    mu_rows, lam_rows = list(state.mu), list(state.lam)
-    src_of, rev_of, sign_of = g.src_of, g.rev_of, g.sign_of
+    src_of, rev_of = g.src_of, g.rev_of
+    pen = np.asarray(pen, dtype=float)
+    link_maps = list(y_closed_form_peredge(state.mu, state.lam, pen[1],
+                                           pen[0], g.arc_sign))
     # Python floats index and multiply faster than numpy scalars.
-    rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
+    rho_mu = pen[0].tolist()
     dim, link_flops = problem.dim, 8 * problem.dim
+    # [x_owner; y_recv; 1], the operand of every link map
+    work = np.ones(2 * dim + 1)
+    work_x, work_y = work[:dim], work[dim:-1]
     # per node: its out-arc blocks of mu and y, their tie penalties (one
     # row per arc, repeated across the columns), its block subproblem (the
     # penalty sum is its quadratic weight; each solve sets the linear term;
@@ -407,12 +418,11 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             counters.link_skips += 1
             return
         link_dirty[out] = False
-        y_recv = y_recv_rows[inbound]
-        y_recv[...] = y_rows[inbound]
+        y_recv_rows[inbound][...] = work_y[...] = y_rows[inbound]
         owner = src_of[out]
-        new = y_closed_form_peredge(x_rows[owner], y_recv, mu_rows[out],
-                                    lam_rows[out], rho_lam[out], rho_mu[out],
-                                    sign_of[out])
+        work_x[...] = x_rows[owner]
+        new = link_maps[out].dot(work)
+        counters.link_solves += 1
         y_out = y_rows[out]
         d = new - y_out
         moved = math.sqrt(d.dot(d))

@@ -203,38 +203,43 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     return x0
 
 
-def y_closed_form_peredge(x_i: np.ndarray, y_ji: np.ndarray, mu: np.ndarray,
-                          lam: np.ndarray, rho_lam: float, rho_mu: float,
-                          sign: int) -> np.ndarray:
-    """Exact link-block minimizer with separate penalties per constraint.
+def y_closed_form_peredge(mu: np.ndarray, lam: np.ndarray, rho_lam, rho_mu,
+                          sign) -> np.ndarray:
+    """Exact link-block minimizers as affine maps, one per arc.
 
-    Minimizes ``mu^T(x_i - y) + sign*lam^T(y - y_ji)
-    + (rho_mu/2)||x_i - y||^2 + (rho_lam/2)||y - y_ji||^2``, giving
+    The link block of an arc minimizes ``mu^T(x_i - y)
+    + sign*lam^T(y - y_ji) + (rho_mu/2)||x_i - y||^2
+    + (rho_lam/2)||y - y_ji||^2``, whose minimizer
 
         y = (rho_mu * x_i + rho_lam * y_ji + mu - sign*lam)
-            / (rho_mu + rho_lam),
+            / (rho_mu + rho_lam)
 
-    which with a common penalty ``rho`` is the midpoint form
-    ``y_ji/2 + x_i/2 + (mu - sign*lam) / (2 rho)``. ``sign`` is the
-    orientation sign of the link's consensus term (+1 when the owner has
-    the smaller id).
+    is ``w_mu*x_i + w_lam*y_ji + c`` with ``w_mu = rho_mu/(rho_mu +
+    rho_lam)``, ``w_lam = rho_lam/(rho_mu + rho_lam)`` and ``c = (mu -
+    sign*lam)/(rho_mu + rho_lam)``. With a common penalty ``rho`` this is
+    the midpoint form ``y_ji/2 + x_i/2 + (mu - sign*lam)/(2 rho)``.
+    ``sign`` is the orientation sign of the link's consensus term (+1 when
+    the owner has the smaller id).
 
-    The numerator is accumulated in place, left to right. ``sign`` is +-1,
-    so subtracting or adding ``lam`` gives the bits of ``- sign*lam``
-    (IEEE defines ``a - b`` as ``a + (-b)``).
+    The arguments broadcast over leading arc axes: ``mu`` and ``lam`` have
+    shape ``(..., m)``, the penalties and signs shape ``(...)``. Returns the
+    maps ``[w_mu*I | w_lam*I | c]``, shape ``(..., m, 2m + 1)``, so that a
+    map's product with ``[x_i; y_ji; 1]`` is the minimizer. The slot kernel
+    builds every arc's map at slot start, since duals and penalties change
+    only between slots.
     """
-    denom = rho_lam + rho_mu
-    if denom <= 0:
-        raise DomainError(f"penalty sum must be positive, got {denom}")
-    out = rho_mu * x_i
-    out += rho_lam * y_ji
-    out += mu
-    if sign > 0:
-        out -= lam
-    else:
-        out += lam
-    out /= denom
-    return out
+    mu = np.asarray(mu, dtype=float)
+    denom = np.asarray(rho_lam, dtype=float) + rho_mu
+    if (denom <= 0).any():
+        raise DomainError(f"penalty sum must be positive, got {denom.min()}")
+    m = mu.shape[-1]
+    diag = np.arange(m)
+    maps = np.zeros(mu.shape + (2 * m + 1,))
+    maps[..., diag, diag] = (rho_mu / denom)[..., None]
+    maps[..., diag, m + diag] = (rho_lam / denom)[..., None]
+    maps[..., -1] = (mu - np.asarray(sign)[..., None] * lam) \
+        / denom[..., None]
+    return maps
 
 
 def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,

@@ -182,6 +182,20 @@ class TestInnerStepALG:
         # y_10 = y_01/2 + x_1/2 + (mu - sign(0-1)*lam)/(2 rho), duals zero
         assert state.y[a10][0] == pytest.approx(0.5 * 0.7 + 0.5 * 2.0)
         assert counters.transmissions == 1
+        assert counters.link_solves == 1
+
+    @pytest.mark.parametrize("variant", [Variant.ALG, Variant.ALMG])
+    def test_nonpositive_penalty_sum_fails_at_slot_start(self, path3_graph,
+                                                         variant):
+        """The link maps are built when the slot starts, so an arc whose
+        penalties do not sum to a positive value stops the slot before
+        any event, delivery or not."""
+        state = ALGState(QuadConsensusInstance([[0.0], [1.0], [2.0]]),
+                         path3_graph)
+        pen = pen_of(path3_graph, 1.0)
+        pen[:, 2] = [0.5, -0.5]
+        with pytest.raises(DomainError, match="penalty sum"):
+            slot_kernel(state, variant, pen)
 
 
 class TestDualUpdateALG:
@@ -402,17 +416,14 @@ class TestRunInner:
         assert applied == 30 and counters.k == 35
         assert seen == [7, 14, 21, 28, 35]
 
-    def test_nan_movement_never_ends_a_slot(self, pair_graph, monkeypatch):
-        from algossip import algo
-
-        def nan_link(x_i, *args):
-            return np.full_like(x_i, np.nan)
-
-        monkeypatch.setattr(algo, "y_closed_form_peredge", nan_link)
+    def test_nan_movement_never_ends_a_slot(self, pair_graph):
         inst = QuadConsensusInstance([[0.0], [2.0]])
         failures = FailureModel.always_on(pair_graph)
         dist = event_distribution(pair_graph, failures, Variant.ALG)
         state = ALGState(inst, pair_graph)
+        # NaN tie duals make every link solve return NaN; the node solves
+        # fail their safeguard and keep their finite estimates
+        state.mu[:] = np.nan
         with np.errstate(invalid="ignore"):
             applied = run_inner(state, Variant.ALG, pair_graph, failures,
                                 dist, pen_of(pair_graph, 1.0),

@@ -223,14 +223,20 @@ fstar = auto
 
 
 class TestSkipCounts:
-    """The manifest's skip counts, checked against events and solver calls
-    counted at the seams the run loop calls through ``algo``."""
+    """The manifest's skip counts, checked against events and node solver
+    calls counted at the seams the run loop calls through ``algo``, and
+    against the link solves the kernel counts."""
 
     @pytest.mark.parametrize("name", ["alg_adaptive_logreg",
                                       "almg_fixed_quad"])
     def test_skips_and_solves_cover_every_block_event(self, name, tmp_path,
                                                       monkeypatch):
-        seen = dict(x_events=0, delivered=0, solves=0, links=0)
+        seen = dict(x_events=0, delivered=0, solves=0)
+        made = []
+
+        def counters():
+            made.append(algo.Counters())
+            return made[-1]
 
         def sampler(fn):
             def wrapper(*args):
@@ -254,8 +260,7 @@ class TestSkipCounts:
             monkeypatch.setattr(algo, attr, sampler(getattr(algo, attr)))
         monkeypatch.setattr(algo, "solve_x_block",
                             counted(algo.solve_x_block, "solves"))
-        monkeypatch.setattr(algo, "y_closed_form_peredge",
-                            counted(algo.y_closed_form_peredge, "links"))
+        monkeypatch.setattr(harness, "Counters", counters)
         cfg = Path(__file__).resolve().parent / "golden" / f"{name}.cfg"
         res = harness.run(str(cfg), out_dir=str(tmp_path))
 
@@ -264,7 +269,8 @@ class TestSkipCounts:
         assert skipped == res.manifest["skipped_blocks"]
         assert skipped["node"] > 0 and skipped["link"] > 0
         assert skipped["node"] + seen["solves"] == seen["x_events"]
-        assert skipped["link"] + seen["links"] == seen["delivered"]
+        assert len(made) == 1
+        assert skipped["link"] + made[0].link_solves == seen["delivered"]
         # kept out of everything that is hashed or pinned
         cfg_parsed = harness.parse_config(str(cfg))
         assert res.manifest["manifest_hash"] == harness.manifest_hash(

@@ -177,19 +177,19 @@ def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
 
 
 @contextmanager
-def watched(state):
-    """Wrap the samplers and block solvers that ``run_inner`` calls through
-    ``algo``. ``seen`` holds the last sampled event, the dirty flags when
-    it was drawn, and the node and link solves since then."""
+def watched(state, counters):
+    """Wrap the samplers and the node solver that ``run_inner`` calls
+    through ``algo``. ``seen`` holds the last sampled event, the dirty
+    flags when it was drawn, the node solves since then and the kernel's
+    count of link solves (``counters.link_solves``) when it was drawn."""
     seen = {}
-    names = ("sample_event", "sample_mg_event", "solve_x_block",
-             "y_closed_form_peredge")
+    names = ("sample_event", "sample_mg_event", "solve_x_block")
     originals = {name: getattr(algo, name) for name in names}
 
     def sampler(fn):
         def wrapper(*args):
             ev = fn(*args)
-            seen.update(event=ev, solves=0, links=0,
+            seen.update(event=ev, solves=0, links=counters.link_solves,
                         node_dirty=list(state.node_dirty),
                         link_dirty=list(state.link_dirty))
             return ev
@@ -204,8 +204,6 @@ def watched(state):
     algo.sample_event = sampler(originals["sample_event"])
     algo.sample_mg_event = sampler(originals["sample_mg_event"])
     algo.solve_x_block = counted(originals["solve_x_block"], "solves")
-    algo.y_closed_form_peredge = counted(originals["y_closed_form_peredge"],
-                                         "links")
     try:
         yield seen
     finally:
@@ -238,7 +236,19 @@ def resolved_node(state, i, pen):
     return probe.x[i]
 
 
-def check_event(state, seen, pen, last, closed_form_nodes):
+def resolved_link(state, out, inbound, pen):
+    """Link block ``out`` re-minimized from the current state: its arc's
+    map, built alone, applied to the owner's estimate and the receiver's
+    copy, as the slot kernel applies it."""
+    g = state.graph
+    link_map = y_closed_form_peredge(state.mu[out], state.lam[out],
+                                     pen[1, out], pen[0, out],
+                                     g.sign_of[out])
+    return link_map.dot(np.concatenate([state.x[g.src_of[out]],
+                                        state.y_recv[inbound], [1.0]]))
+
+
+def check_event(state, seen, pen, last, closed_form_nodes, counters):
     """A clean block was skipped, and only a clean one; a skipped block's
     inputs are those of its last minimization, and a closed-form block
     re-solved now keeps its value bit for bit."""
@@ -257,17 +267,16 @@ def check_event(state, seen, pen, last, closed_form_nodes):
     inbound = ([ev.arc] if ev.kind is EventKind.Y_TRANSFER
                else list(ev.receivers or ()))
     outs = [g.rev_of[a] for a in inbound]
-    assert seen["links"] == sum(seen["link_dirty"][o] for o in outs)
+    assert counters.link_solves - seen["links"] == \
+        sum(seen["link_dirty"][o] for o in outs)
     for a, o in zip(inbound, outs):
         assert state.y_recv[a].tobytes() == state.y[a].tobytes()
         if seen["link_dirty"][o]:
             last["link", o] = link_inputs(state, o, pen)
             continue
         assert link_inputs(state, o, pen) == last["link", o]
-        again = y_closed_form_peredge(
-            state.x[g.src_of[o]], state.y_recv[a], state.mu[o],
-            state.lam[o], pen[1, o], pen[0, o], g.sign_of[o])
-        assert again.tobytes() == state.y[o].tobytes()
+        assert resolved_link(state, o, a, pen).tobytes() == \
+            state.y[o].tobytes()
 
 
 KINDS = ("quad", "quad_box", "logreg")
@@ -292,7 +301,7 @@ def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
     assert all(state.node_dirty) and all(state.link_dirty)
     rng = np.random.default_rng(seed)
     counters = Counters()
-    with watched(state) as seen:
+    with watched(state, counters) as seen:
         for t in range(3):
             pen = penalty(variant, graph, rho * (1 + t))
             last = {}
@@ -300,9 +309,55 @@ def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
                       counters, 150, inner_budget=5,
                       on_checkpoint=lambda: check_event(state, seen, pen,
                                                         last,
-                                                        kind != "logreg"),
+                                                        kind != "logreg",
+                                                        counters),
                       checkpoint_every=1)
             dual_update_alg(state, pen)
+
+
+def textbook_link(x, y_hat, mu, lam, rho_mu, rho_lam, owner, other):
+    """The link-block minimizer as the paper writes it, and the scale its
+    rounding error is relative to."""
+    sign = 1 if owner < other else -1
+    num = (rho_mu * x, rho_lam * y_hat, mu, -sign * lam)
+    denom = rho_mu + rho_lam
+    return sum(num) / denom, sum(np.abs(t) for t in num) / denom
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(GOSSIP),
+       kind=st.sampled_from(KINDS), seed=SEEDS, p=st.floats(0.3, 1.0))
+def test_link_updates_match_the_textbook_closed_form(graph, variant, kind,
+                                                     seed, p):
+    """Random deliveries through the slot kernel, from random duals and
+    link values at unequal per-arc penalties: after each event, every
+    receiver's link value is ``(rho_mu x + rho_lam y_hat + mu - s lam)
+    / (rho_mu + rho_lam)`` at the owner's estimate ``x`` and the value
+    ``y_hat`` it received, to 1e-12 relative."""
+    inst = dirty_instance(kind, graph, seed)
+    failures = FailureModel.uniform(graph, p)
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, inst, graph)
+    rng = np.random.default_rng(seed)
+    for arr in (state.y, state.mu, state.lam):
+        arr[...] = rng.normal(size=arr.shape)
+    pen = rng.uniform(0.2, 5.0, size=(2, graph.num_arcs))
+    apply = slot_kernel(state, variant, pen, Counters(), inner_budget=5)
+    for _ in range(80):
+        ev = sample_event(dist, rng)
+        if ev.kind is EventKind.MG_BROADCAST:
+            ev = sample_mg_event(ev.node, graph, failures, rng)
+        apply(ev)
+        inbound = ([ev.arc] if ev.kind is EventKind.Y_TRANSFER
+                   else list(ev.receivers or ()))
+        for a in inbound:
+            out = graph.rev_of[a]
+            owner, other = graph.arcs[out]
+            want, scale = textbook_link(state.x[owner], state.y_recv[a],
+                                        state.mu[out], state.lam[out],
+                                        pen[0, out], pen[1, out], owner,
+                                        other)
+            assert np.all(np.abs(state.y[out] - want) <= 1e-12 * scale)
 
 
 @settings(max_examples=20, deadline=None)

@@ -40,9 +40,16 @@ def parabola_vertex_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
     return out
 
 
+def link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
+    """The link-block minimizer: the arc's affine map applied to
+    ``[x_i; y_ji; 1]``, as the slot kernel applies it."""
+    return y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign).dot(
+        np.concatenate([x_i, y_ji, [1.0]]))
+
+
 def y_common_penalty(x_i, y_ji, mu, lam, rho, sign):
     """The link-block minimizer with one penalty on both constraints."""
-    return y_closed_form_peredge(x_i, y_ji, mu, lam, rho, rho, sign)
+    return link_minimizer(x_i, y_ji, mu, lam, rho, rho, sign)
 
 
 class TestYClosedForm:
@@ -103,41 +110,50 @@ class TestYClosedFormPerEdge:
             x_i, y_ji, mu, lam = rng.normal(size=(4, 2))
             rho = float(rng.uniform(0.1, 5.0))
             sign = int(rng.choice([-1, 1]))
-            a = y_closed_form_peredge(x_i, y_ji, mu, lam, rho, rho, sign)
+            a = link_minimizer(x_i, y_ji, mu, lam, rho, rho, sign)
             b = 0.5 * y_ji + 0.5 * x_i + (mu - sign * lam) / (2.0 * rho)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_bits_of_the_plain_formula(self):
-        """In place, with the sign applied as -= or +=, the closed form
-        keeps every bit of the one-expression formula, for either sign
-        given as a Python or a numpy int."""
+        """Each map holds the bits of the plain expressions for ``w_mu``,
+        ``w_lam`` and ``c``, zeros elsewhere, whether its arc is built
+        alone or stacked with others, for either sign given as a Python or
+        a numpy int."""
         rng = np.random.default_rng(9)
-        for _ in range(2000):
-            m = int(rng.integers(1, 5))
-            x_i, y_ji, mu, lam = rng.normal(size=(4, m)) * 10.0 ** \
-                rng.integers(-8, 8, size=(4, 1))
-            rho_lam, rho_mu = rng.uniform(0.01, 50.0, size=2).tolist()
-            sign = rng.choice(np.array([-1, 1]))
-            plain = (rho_mu * x_i + rho_lam * y_ji + mu - sign * lam) / (
-                rho_lam + rho_mu)
-            for s in (sign, int(sign)):
-                got = y_closed_form_peredge(x_i, y_ji, mu, lam, rho_lam,
-                                            rho_mu, s)
-                assert got.tobytes() == plain.tobytes()
+        for _ in range(500):
+            arcs, m = rng.integers(1, 5, size=2).tolist()
+            mu, lam = rng.normal(size=(2, arcs, m)) * 10.0 ** \
+                rng.integers(-8, 8, size=(2, arcs, 1))
+            rho_lam, rho_mu = rng.uniform(0.01, 50.0, size=(2, arcs))
+            sign = rng.choice(np.array([-1, 1]), size=arcs)
+            stacked = y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign)
+            assert stacked.shape == (arcs, m, 2 * m + 1)
+            for a in range(arcs):
+                denom = rho_lam[a] + rho_mu[a]
+                want = np.zeros((m, 2 * m + 1))
+                np.fill_diagonal(want[:, :m], rho_mu[a] / denom)
+                np.fill_diagonal(want[:, m:-1], rho_lam[a] / denom)
+                want[:, -1] = (mu[a] - sign[a] * lam[a]) / denom
+                assert stacked[a].tobytes() == want.tobytes()
+                for s in (sign[a], int(sign[a])):
+                    alone = y_closed_form_peredge(
+                        mu[a], lam[a], float(rho_lam[a]), float(rho_mu[a]),
+                        s)
+                    assert alone.tobytes() == want.tobytes()
 
     def test_inputs_are_not_written(self):
-        args = [np.array([1.0, -2.0]), np.array([0.5, 3.0]),
-                np.array([0.25, 0.0]), np.array([-1.0, 4.0])]
-        before = [a.copy() for a in args]
-        for sign in (1, -1):
-            y_closed_form_peredge(*args, 2.0, 3.0, sign)
-        for a, b in zip(args, before):
-            np.testing.assert_array_equal(a, b)
+        mu, lam = np.array([[0.25, 0.0]]), np.array([[-1.0, 4.0]])
+        rho_lam, rho_mu = np.array([2.0]), np.array([3.0])
+        for sign in (np.array([1]), np.array([-1])):
+            args = (mu, lam, rho_lam, rho_mu, sign)
+            before = [a.copy() for a in args]
+            y_closed_form_peredge(*args)
+            for a, b in zip(args, before):
+                np.testing.assert_array_equal(a, b)
 
     def test_weighted_average_with_zero_duals(self):
-        y = y_closed_form_peredge(np.array([0.0]), np.array([4.0]),
-                                  np.zeros(1), np.zeros(1),
-                                  rho_lam=3.0, rho_mu=1.0, sign=1)
+        y = link_minimizer(np.array([0.0]), np.array([4.0]), np.zeros(1),
+                           np.zeros(1), rho_lam=3.0, rho_mu=1.0, sign=1)
         assert y == pytest.approx(3.0)  # (1*0 + 3*4) / 4
 
     def test_matches_numeric_oracle(self):
@@ -148,17 +164,21 @@ class TestYClosedFormPerEdge:
             rho_lam = float(rng.uniform(0.05, 4.0))
             rho_mu = float(rng.uniform(0.05, 4.0))
             sign = int(rng.choice([-1, 1]))
-            got = y_closed_form_peredge(x_i, y_ji, mu, lam, rho_lam, rho_mu,
-                                        sign)
+            got = link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign)
             ref = parabola_vertex_minimizer(x_i, y_ji, mu, lam, rho_lam,
                                             rho_mu, sign)
             np.testing.assert_allclose(got, ref, atol=1e-8)
 
     def test_rejects_nonpositive_penalty_sum(self):
         with pytest.raises(DomainError):
-            y_closed_form_peredge(np.zeros(1), np.zeros(1), np.zeros(1),
-                                  np.zeros(1), rho_lam=0.0, rho_mu=0.0,
-                                  sign=1)
+            y_closed_form_peredge(np.zeros(1), np.zeros(1), rho_lam=0.0,
+                                  rho_mu=0.0, sign=1)
+        # one arc among several is enough
+        with pytest.raises(DomainError):
+            y_closed_form_peredge(np.zeros((3, 2)), np.zeros((3, 2)),
+                                  np.array([1.0, 0.5, 2.0]),
+                                  np.array([1.0, -0.5, 2.0]),
+                                  np.array([1, -1, 1]))
 
 
 def scalar_quad(target, lo=None, hi=None, weight=1.0):
