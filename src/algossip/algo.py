@@ -252,7 +252,7 @@ class ALBGState:
 @dataclass
 class Counters:
     """Cumulative fast-scale counters for one run, including the node and
-    link block minimizations skipped because the block was clean, and the
+    link block minimizations skipped because the block was clean and the
     link block minimizations made."""
 
     k: int = 0
@@ -294,12 +294,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     views, each node's out-arc penalty column and its block subproblem
     (weighted by the penalty sum, and holding ``f_i`` at the node's
     estimate, evaluated here and kept current by the solves), and each
-    arc's link minimizer as an affine map of the owner's estimate and the
-    received link value (:func:`~algossip.subsolve.y_closed_form_peredge`,
-    which raises :class:`DomainError` here if an arc's penalty sum is not
-    positive). A delivery writes those two vectors into a work vector and
-    makes one product with its arc's map. The samplers and block solvers
-    are looked up on this module at call time.
+    arc's link minimizer, an affine map of the two vectors a delivery
+    writes into a work vector (built by ``y_closed_form_peredge``, which
+    raises :class:`DomainError` on a non-positive penalty sum). The
+    samplers and block solvers are looked up on this module at call time.
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)

@@ -28,8 +28,8 @@ from .errors import ConfigError, ConnectivityFailure, DomainError, \
 from .graph import (FailureModel, Supergraph, build_geometric, load_network,
                     network_text)
 from .metrics import MetricsLog, write_atomic
-from .problem import (ProblemInstance, QuadConsensusInstance, draw_logreg,
-                      fit_logreg, instance_text, load_instance)
+from .problem import (LogRegInstance, ProblemInstance, QuadConsensusInstance,
+                      draw_logreg, fit_logreg, instance_text, load_instance)
 
 KNOWN_KEYS = {
     "problem": {"kind", "file", "nodes", "dim", "targets", "seed", "spread",
@@ -252,21 +252,29 @@ def validate(config: RunConfig | RunSpec | str) -> RunSpec:
     return spec
 
 
+def _need_two_classes(labels: np.ndarray, source: str, fix: str) -> None:
+    """Refuse one-class logistic labels. Such an instance has no logistic
+    minimizer: its reference solves run their whole budget and f* depends
+    on it, so it is refused before the first of them."""
+    pos = int((labels > 0).sum())
+    _need(0 < pos < labels.size,
+          f"[problem] {source} has {pos} positive and {labels.size - pos} "
+          f"negative labels; logistic regression needs both ({fix})")
+
+
 def build_problem(spec: RunSpec) -> ProblemInstance:
     if spec.kind == "file":
-        return _checked("problem", load_instance, spec.problem_file)
+        problem = _checked("problem", load_instance, spec.problem_file)
+        if isinstance(problem, LogRegInstance):
+            _need_two_classes(problem.labels, "the instance file",
+                              "relabel its samples")
+        return problem
     if spec.kind == "logreg":
-        # a one-class draw has no logistic minimizer: its reference solves
-        # run their whole budget and f* depends on it, so it is refused
-        # before the first of them
         rng, features, labels, meta = draw_logreg(
             spec.nodes, spec.dim, spec.samples_per_node, spec.noise_var,
             spec.problem_seed)
-        pos = int((labels > 0).sum())
-        _need(0 < pos < labels.size,
-              f"[problem] the draw has {pos} positive and "
-              f"{labels.size - pos} negative labels; logistic regression "
-              f"needs both (change seed, samples_per_node or noise_var)")
+        _need_two_classes(labels, "the draw",
+                          "change seed, samples_per_node or noise_var")
         return fit_logreg(rng, features, labels, meta)
     targets = (np.array(spec.targets) if spec.targets is not None
                else np.random.default_rng(spec.problem_seed).normal(

@@ -2,9 +2,11 @@
 
 Each inner event minimizes the augmented Lagrangian over one block while the
 rest stay fixed. The node block reduces to ``f_i(x) + c^T x + (q/2)||x||^2``
-over the node's set; the link blocks have exact closed forms. Inexact node
-solves never return a point with a larger block objective than the warm
-start: the accelerated solver checks this once, at the end of the solve.
+over the node's set; the link blocks have exact closed forms, bound once
+per slot as one affine map per arc (:func:`y_closed_form_peredge`). Inexact
+node solves never return a point with a larger block objective than the
+warm start: the accelerated solver checks this once, at the end of the
+solve.
 """
 
 from __future__ import annotations
@@ -207,26 +209,20 @@ def y_closed_form_peredge(mu: np.ndarray, lam: np.ndarray, rho_lam, rho_mu,
                           sign) -> np.ndarray:
     """Exact link-block minimizers as affine maps, one per arc.
 
-    The link block of an arc minimizes ``mu^T(x_i - y)
-    + sign*lam^T(y - y_ji) + (rho_mu/2)||x_i - y||^2
-    + (rho_lam/2)||y - y_ji||^2``, whose minimizer
-
-        y = (rho_mu * x_i + rho_lam * y_ji + mu - sign*lam)
-            / (rho_mu + rho_lam)
-
-    is ``w_mu*x_i + w_lam*y_ji + c`` with ``w_mu = rho_mu/(rho_mu +
-    rho_lam)``, ``w_lam = rho_lam/(rho_mu + rho_lam)`` and ``c = (mu -
-    sign*lam)/(rho_mu + rho_lam)``. With a common penalty ``rho`` this is
-    the midpoint form ``y_ji/2 + x_i/2 + (mu - sign*lam)/(2 rho)``.
-    ``sign`` is the orientation sign of the link's consensus term (+1 when
-    the owner has the smaller id).
+    An arc's link block minimizes ``mu^T(x_i - y) + sign*lam^T(y - y_ji)
+    + (rho_mu/2)||x_i - y||^2 + (rho_lam/2)||y - y_ji||^2``, whose
+    minimizer ``(rho_mu*x_i + rho_lam*y_ji + mu - sign*lam)/(rho_mu +
+    rho_lam)`` is ``w_mu*x_i + w_lam*y_ji + c`` with ``w_mu = rho_mu/(rho_mu
+    + rho_lam)``, ``w_lam = rho_lam/(rho_mu + rho_lam)`` and ``c = (mu -
+    sign*lam)/(rho_mu + rho_lam)``; with a common penalty ``rho``, the
+    midpoint form ``y_ji/2 + x_i/2 + (mu - sign*lam)/(2 rho)``. ``sign`` is
+    the orientation sign of the link's consensus term (+1 when the owner
+    has the smaller id).
 
     The arguments broadcast over leading arc axes: ``mu`` and ``lam`` have
     shape ``(..., m)``, the penalties and signs shape ``(...)``. Returns the
-    maps ``[w_mu*I | w_lam*I | c]``, shape ``(..., m, 2m + 1)``, so that a
-    map's product with ``[x_i; y_ji; 1]`` is the minimizer. The slot kernel
-    builds every arc's map at slot start, since duals and penalties change
-    only between slots.
+    maps ``[w_mu*I | w_lam*I | c]``, shape ``(..., m, 2m + 1)``: a map's
+    product with ``[x_i; y_ji; 1]`` is the minimizer.
     """
     mu = np.asarray(mu, dtype=float)
     denom = np.asarray(rho_lam, dtype=float) + rho_mu

@@ -14,7 +14,7 @@ from algossip.cli import main as cli_main
 from algossip.errors import ConfigError, MismatchError
 from algossip.events import EventKind
 from algossip.metrics import MetricsLog, MetricsRow, write_atomic
-from algossip.problem import err_f
+from algossip.problem import LogRegInstance, err_f, save_instance
 
 GOLDEN = Path(__file__).parent / "golden"
 QUAD_CONFIG = """
@@ -633,6 +633,8 @@ class TestCLI:
         ([("radius = 0.9", "radius = 1e308"),
           ("failures = always_on", "failures = distance")], ["run"]),
         ([ONE_CLASS_EDIT], ["run"]),
+        ([("kind = quad\nnodes = 4\ndim = 1\ntargets = 0; 1; 2; 3",
+           "kind = file\nfile = {tmp}/one_class.txt")], ["run"]),
     ], ids=["schedule_params", "negative_rho", "inner_budget", "radius",
             "failure_p", "seeds", "targets", "problem_file", "graph_file",
             "graph_file_disconnected", "negative_t_outer",
@@ -642,7 +644,7 @@ class TestCLI:
             "negative_run_seed", "negative_seed_flag",
             "negative_sweep_seed", "no_section_header",
             "albg_unreliable_graph_file", "overflowing_radius",
-            "one_class_logreg"])
+            "one_class_logreg", "one_class_instance_file"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, edits,
                                              args):
         # edges 0-1 and 2-3 only: a network with two components
@@ -650,6 +652,10 @@ class TestCLI:
         # a path whose first link fails half the time one way
         (tmp_path / "unreliable.txt").write_text(
             "4\n0 1 0.5 1\n1 2 1 1\n2 3 1 1\n")
+        # every sample labeled +1
+        save_instance(tmp_path / "one_class.txt", LogRegInstance(
+            np.ones((4, 2, 1)), np.ones((4, 2)), 0.1, np.ones(4),
+            np.ones(4)))
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
         for old, new in edits:
             assert old in body
