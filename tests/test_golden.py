@@ -82,7 +82,7 @@ def openblas_core() -> str:
         corename = getattr(ctypes.CDLL(str(lib)),
                            "scipy_openblas_get_corename64_", None)
         if corename is not None:
-            corename.restype = ctypes.c_char_p
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
             return corename().decode()
     blas = getattr(np.__config__, "CONFIG", {}).get(
         "Build Dependencies", {}).get("blas", {})
@@ -136,16 +136,16 @@ def test_run_reproduces_pinned_bytes(cfg, pinned_run):
     assert report["skipped"].get(cfg.stem) == pinned.get(cfg.stem)
 
 
-def regenerate(scratch: Path) -> None:
-    """Rerun every golden config into ``scratch`` under the pinned kernel,
+def regenerate(out_dir: Path) -> None:
+    """Rerun every golden config into ``out_dir`` under the pinned kernel,
     copy the pinned outputs back next to their configs and rewrite
     ``skipped_blocks.json`` and ``openblas_core.txt``."""
-    report = run_under_pinned_kernel(scratch)
+    report = run_under_pinned_kernel(out_dir)
     if "error" in report:
         sys.exit(report["error"])
     for cfg in CONFIGS:
         for suffix in OUTPUTS:
-            shutil.copyfile(scratch / (cfg.stem + suffix),
+            shutil.copyfile(out_dir / (cfg.stem + suffix),
                             GOLDEN / (cfg.stem + suffix))
     write_atomic(SKIPPED, lambda fh: fh.write(
         json.dumps(report["skipped"], indent=1, sort_keys=True) + "\n"))
