@@ -294,10 +294,11 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     views, each node's out-arc penalty column and its block subproblem
     (weighted by the penalty sum, and holding ``f_i`` at the node's
     estimate, evaluated here and kept current by the solves), and each
-    arc's link minimizer, an affine map of the two vectors a delivery
-    writes into a work vector (built by ``y_closed_form_peredge``, which
-    raises :class:`DomainError` on a non-positive penalty sum). The
-    samplers and block solvers are looked up on this module at call time.
+    arc's link minimizer, three weights and an operand whose last row is
+    fixed and whose first two a delivery fills (built by
+    ``y_closed_form_peredge``, which raises :class:`DomainError` on a
+    non-positive penalty sum). The samplers and block solvers are looked
+    up on this module at call time.
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)
@@ -346,14 +347,15 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     y_rows, y_recv_rows = list(state.y), list(state.y_recv)
     src_of, rev_of = g.src_of, g.rev_of
     pen = np.asarray(pen, dtype=float)
-    link_maps = list(y_closed_form_peredge(state.mu, state.lam, pen[1],
-                                           pen[0], g.arc_sign))
+    # per arc: its link minimizer's weights and operand, and the operand's
+    # two rows that each delivery fills with the owner's estimate and the
+    # received value
+    weights, operands = y_closed_form_peredge(state.mu, state.lam, pen[1],
+                                              pen[0], g.arc_sign)
+    links = list(zip(weights, operands, operands[:, 0], operands[:, 1]))
     # Python floats index and multiply faster than numpy scalars.
     rho_mu = pen[0].tolist()
     dim, link_flops = problem.dim, 8 * problem.dim
-    # [x_owner; y_recv; 1], the operand of every link map
-    work = np.ones(2 * dim + 1)
-    work_x, work_y = work[:dim], work[dim:-1]
     # per node: its out-arc blocks of mu and y, their tie penalties (one
     # row per arc, repeated across the columns), its block subproblem (the
     # penalty sum is its quadratic weight; each solve sets the linear term;
@@ -416,10 +418,11 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             counters.link_skips += 1
             return
         link_dirty[out] = False
-        y_recv_rows[inbound][...] = work_y[...] = y_rows[inbound]
+        w, ops, ops_x, ops_y = links[out]
+        y_recv_rows[inbound][...] = ops_y[...] = y_rows[inbound]
         owner = src_of[out]
-        work_x[...] = x_rows[owner]
-        new = link_maps[out].dot(work)
+        ops_x[...] = x_rows[owner]
+        new = w.dot(ops)
         counters.link_solves += 1
         y_out = y_rows[out]
         d = new - y_out

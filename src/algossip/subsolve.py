@@ -206,7 +206,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
 
 
 def y_closed_form_peredge(mu: np.ndarray, lam: np.ndarray, rho_lam, rho_mu,
-                          sign) -> np.ndarray:
+                          sign) -> tuple[np.ndarray, np.ndarray]:
     """Exact link-block minimizers as affine maps, one per arc.
 
     An arc's link block minimizes ``mu^T(x_i - y) + sign*lam^T(y - y_ji)
@@ -220,22 +220,22 @@ def y_closed_form_peredge(mu: np.ndarray, lam: np.ndarray, rho_lam, rho_mu,
     has the smaller id).
 
     The arguments broadcast over leading arc axes: ``mu`` and ``lam`` have
-    shape ``(..., m)``, the penalties and signs shape ``(...)``. Returns the
-    maps ``[w_mu*I | w_lam*I | c]``, shape ``(..., m, 2m + 1)``: a map's
-    product with ``[x_i; y_ji; 1]`` is the minimizer.
+    shape ``(..., m)``, the penalties and signs shape ``(...)``. Returns
+    the weights ``[w_mu, w_lam, 1]``, shape ``(..., 3)``, and the operands,
+    shape ``(..., 3, m)``, whose last row is ``c`` and whose first two rows
+    a caller fills with ``x_i`` and ``y_ji``: an arc's weights times its
+    operand is then the minimizer.
     """
     mu = np.asarray(mu, dtype=float)
     denom = np.asarray(rho_lam, dtype=float) + rho_mu
     if (denom <= 0).any():
         raise DomainError(f"penalty sum must be positive, got {denom.min()}")
-    m = mu.shape[-1]
-    diag = np.arange(m)
-    maps = np.zeros(mu.shape + (2 * m + 1,))
-    maps[..., diag, diag] = (rho_mu / denom)[..., None]
-    maps[..., diag, m + diag] = (rho_lam / denom)[..., None]
-    maps[..., -1] = (mu - np.asarray(sign)[..., None] * lam) \
+    weights = np.stack([rho_mu / denom, rho_lam / denom,
+                        np.ones_like(denom)], axis=-1)
+    operands = np.zeros(mu.shape[:-1] + (3, mu.shape[-1]))
+    operands[..., 2, :] = (mu - np.asarray(sign)[..., None] * lam) \
         / denom[..., None]
-    return maps
+    return weights, operands
 
 
 def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,

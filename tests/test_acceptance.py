@@ -22,8 +22,9 @@ from algossip.events import Variant as EV, event_distribution, \
 from algossip.graph import FailureModel, build_geometric
 from algossip.metrics import MetricsLog
 from algossip.problem import QuadConsensusInstance, gen_logreg
-from algossip.subsolve import y_closed_form_peredge
 from algossip import harness
+
+from test_subsolve import link_minimizer
 
 
 def report(criterion: int, detail: str) -> None:
@@ -117,13 +118,6 @@ def test_acceptance_1_inner_descent():
 # 2. Closed forms vs numeric oracle
 # --------------------------------------------------------------------------
 
-def _link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
-    """The link-block minimizer: the arc's affine map applied to
-    ``[x_i; y_ji; 1]``, as the slot kernel applies it."""
-    return y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign).dot(
-        np.concatenate([x_i, y_ji, [1.0]]))
-
-
 def _link_objective(y, x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
     return (mu @ (x_i - y) + sign * (lam @ (y - y_ji))
             + 0.5 * rho_mu * np.sum((x_i - y) ** 2)
@@ -158,12 +152,12 @@ def test_acceptance_2_closed_forms_match_numeric_oracle():
         if trial % 2 == 0:
             # a common penalty on both constraints
             rho = float(rng.uniform(0.05, 4.0))
-            got = _link_minimizer(x_i, y_ji, mu, lam, rho, rho, sign)
+            got = link_minimizer(x_i, y_ji, mu, lam, rho, rho, sign)
             ref = _vertex_oracle(x_i, y_ji, mu, lam, rho, rho, sign)
         else:
             rho_lam = float(rng.uniform(0.05, 4.0))
             rho_mu = float(rng.uniform(0.05, 4.0))
-            got = _link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign)
+            got = link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign)
             ref = _vertex_oracle(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign)
         worst = max(worst, float(np.abs(got - ref).max()))
         assert worst <= 1e-8

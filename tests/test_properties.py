@@ -17,7 +17,8 @@ from algossip.events import (Event, EventKind, event_distribution,
                              sample_event, sample_mg_event)
 from algossip.graph import FailureModel, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
-from algossip.subsolve import y_closed_form_peredge
+
+from test_subsolve import link_minimizer
 
 GRAPHS = st.builds(build_geometric, n=st.integers(2, 7),
                    radius=st.floats(0.5, 0.9), seed=st.integers(0, 10_000))
@@ -238,14 +239,12 @@ def resolved_node(state, i, pen):
 
 def resolved_link(state, out, inbound, pen):
     """Link block ``out`` re-minimized from the current state: its arc's
-    map, built alone, applied to the owner's estimate and the receiver's
-    copy, as the slot kernel applies it."""
+    minimizer, built alone, applied to the owner's estimate and the
+    receiver's copy, as the slot kernel applies it."""
     g = state.graph
-    link_map = y_closed_form_peredge(state.mu[out], state.lam[out],
-                                     pen[1, out], pen[0, out],
-                                     g.sign_of[out])
-    return link_map.dot(np.concatenate([state.x[g.src_of[out]],
-                                        state.y_recv[inbound], [1.0]]))
+    return link_minimizer(state.x[g.src_of[out]], state.y_recv[inbound],
+                          state.mu[out], state.lam[out], pen[1, out],
+                          pen[0, out], g.sign_of[out])
 
 
 def check_event(state, seen, pen, last, closed_form_nodes, counters):

@@ -41,10 +41,11 @@ def parabola_vertex_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
 
 
 def link_minimizer(x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
-    """The link-block minimizer: the arc's affine map applied to
-    ``[x_i; y_ji; 1]``, as the slot kernel applies it."""
-    return y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign).dot(
-        np.concatenate([x_i, y_ji, [1.0]]))
+    """The link-block minimizer: the arc's weights times its operand with
+    ``x_i`` and ``y_ji`` written in, as the slot kernel applies them."""
+    weights, operand = y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign)
+    operand[:2] = x_i, y_ji
+    return weights.dot(operand)
 
 
 def y_common_penalty(x_i, y_ji, mu, lam, rho, sign):
@@ -115,10 +116,10 @@ class TestYClosedFormPerEdge:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_bits_of_the_plain_formula(self):
-        """Each map holds the bits of the plain expressions for ``w_mu``,
-        ``w_lam`` and ``c``, zeros elsewhere, whether its arc is built
-        alone or stacked with others, for either sign given as a Python or
-        a numpy int."""
+        """Each arc's weights and operand hold the bits of the plain
+        expressions for ``w_mu``, ``w_lam`` and ``c``, and zeros in the
+        rows a delivery fills, whether the arc is built alone or stacked
+        with others, for either sign given as a Python or a numpy int."""
         rng = np.random.default_rng(9)
         for _ in range(500):
             arcs, m = rng.integers(1, 5, size=2).tolist()
@@ -126,20 +127,24 @@ class TestYClosedFormPerEdge:
                 rng.integers(-8, 8, size=(2, arcs, 1))
             rho_lam, rho_mu = rng.uniform(0.01, 50.0, size=(2, arcs))
             sign = rng.choice(np.array([-1, 1]), size=arcs)
-            stacked = y_closed_form_peredge(mu, lam, rho_lam, rho_mu, sign)
-            assert stacked.shape == (arcs, m, 2 * m + 1)
+            weights, operands = y_closed_form_peredge(mu, lam, rho_lam,
+                                                      rho_mu, sign)
+            assert weights.shape == (arcs, 3)
+            assert operands.shape == (arcs, 3, m)
             for a in range(arcs):
                 denom = rho_lam[a] + rho_mu[a]
-                want = np.zeros((m, 2 * m + 1))
-                np.fill_diagonal(want[:, :m], rho_mu[a] / denom)
-                np.fill_diagonal(want[:, m:-1], rho_lam[a] / denom)
-                want[:, -1] = (mu[a] - sign[a] * lam[a]) / denom
-                assert stacked[a].tobytes() == want.tobytes()
+                want_w = np.array([rho_mu[a] / denom, rho_lam[a] / denom,
+                                   1.0])
+                want_op = np.zeros((3, m))
+                want_op[2] = (mu[a] - sign[a] * lam[a]) / denom
+                assert weights[a].tobytes() == want_w.tobytes()
+                assert operands[a].tobytes() == want_op.tobytes()
                 for s in (sign[a], int(sign[a])):
                     alone = y_closed_form_peredge(
                         mu[a], lam[a], float(rho_lam[a]), float(rho_mu[a]),
                         s)
-                    assert alone.tobytes() == want.tobytes()
+                    assert alone[0].tobytes() == want_w.tobytes()
+                    assert alone[1].tobytes() == want_op.tobytes()
 
     def test_inputs_are_not_written(self):
         mu, lam = np.array([[0.25, 0.0]]), np.array([[-1.0, 4.0]])
