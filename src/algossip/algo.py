@@ -91,7 +91,8 @@ class PenaltySchedule:
 
 
 def penalty_at(schedule: PenaltySchedule, t: int) -> float:
-    """Penalty value at outer slot ``t`` for the non-adaptive kinds."""
+    """Penalty value at outer slot ``t``; an adaptive schedule's penalties
+    are per dual (:func:`update_adaptive`), so it raises :class:`KindError`."""
     if t < 0:
         raise DomainError(f"slot index must be nonnegative, got {t}")
     if schedule.kind == "fixed":
@@ -102,9 +103,6 @@ def penalty_at(schedule: PenaltySchedule, t: int) -> float:
     if schedule.kind == "geometric":
         coeff, base, offset = schedule.params
         return coeff * base ** t + offset
-    if schedule.kind == "adaptive":
-        raise KindError("adaptive penalties are per-dual; query them through "
-                        "update_adaptive")
     raise KindError(f"unknown schedule kind {schedule.kind!r}")
 
 

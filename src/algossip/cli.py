@@ -9,6 +9,7 @@ from a trace). Exit codes: 0 success, 2 config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -70,6 +71,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    folder = os.path.dirname(os.path.abspath(args.out or "."))
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(folder)):
+        raise ConfigError(f"--out {args.out} is not a file path in an "
+                          f"existing directory")
     try:
         log = MetricsLog.from_csv(args.trace)
     except (OSError, ValueError) as exc:

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConnectivityFailure, DomainError
-from .metrics import write_atomic
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -84,11 +83,10 @@ class Supergraph:
         # Orientation sign of each arc's consensus term: + when the owner
         # has the smaller id (any fixed assignment of signs per edge works).
         self.arc_sign = np.where(self.arc_src < self.arc_dst, 1, -1)
-        # The same three columns as Python ints, for per-event lookups:
+        # The same two columns as Python ints, for per-event lookups:
         # indexing a tuple is cheaper than indexing a numpy array.
         self.src_of: tuple[int, ...] = tuple(self.arc_src.tolist())
         self.rev_of: tuple[int, ...] = tuple(self.arc_rev.tolist())
-        self.sign_of: tuple[int, ...] = tuple(self.arc_sign.tolist())
         self.edge_fwd = np.array([self.arc_id[e] for e in self.edges],
                                  dtype=int)
         ends = np.cumsum(self.degrees)
@@ -117,12 +115,6 @@ class Supergraph:
                     count += 1
                     stack.append(v)
         return count == self.n
-
-    def edge_distance(self, i: int, j: int) -> float:
-        """Euclidean distance between endpoint positions."""
-        if self.positions is None:
-            raise ValueError("graph has no positions")
-        return float(np.linalg.norm(self.positions[i] - self.positions[j]))
 
     def __repr__(self):
         return f"Supergraph(n={self.n}, edges={self.num_edges})"
@@ -216,9 +208,9 @@ class FailureModel:
                       scale: float) -> "FailureModel":
         """Success probabilities ``1 - scale * d_ij^2 / r^2`` from positions.
 
-        Both arcs of an edge get the same value: one distance per edge,
-        ``sqrt(d.dot(d))``, which is what :meth:`Supergraph.edge_distance`
-        (``np.linalg.norm``) returns for either orientation."""
+        Both arcs of an edge get the same value, from one distance per
+        edge: ``sqrt(d.dot(d))`` for the position difference ``d``, the
+        same bits as ``np.linalg.norm(d)`` for either orientation."""
         pos = graph.positions
         if pos is None and graph.edges:
             raise ValueError("graph has no positions")
@@ -242,12 +234,8 @@ def network_text(graph: Supergraph, failures: FailureModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_network(path, graph: Supergraph, failures: FailureModel) -> None:
-    write_atomic(path, lambda fh: fh.write(network_text(graph, failures)))
-
-
 def load_network(path) -> tuple[Supergraph, FailureModel]:
-    """Read a network written by :func:`save_network`.
+    """Read a network from a file holding its :func:`network_text`.
 
     Positions are not part of the format, so the returned graph has none.
 

@@ -349,11 +349,16 @@ class OracleCache:
 
 
 def _cache_in(out_dir: str | None) -> OracleCache:
-    """The oracle cache file of an output directory, which is created; an
-    in-memory cache when there is no directory."""
+    """The oracle cache of an output directory, which every command creates
+    here before it builds anything: a path where none can be made is a
+    config error. An in-memory cache when there is no directory."""
     if out_dir is None:
         return OracleCache(None)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: "
+                          f"{exc.strerror}") from None
     return OracleCache(os.path.join(out_dir, "oracle_cache.json"))
 
 
@@ -401,8 +406,7 @@ def _build(spec: RunSpec):
 
 
 def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
-        seed: int | None = None,
-        cache: OracleCache | None = None) -> RunResult:
+        seed: int | None = None) -> RunResult:
     """Execute one configured run.
 
     Writes ``<name>_trace.csv``, ``<name>_manifest.json`` and
@@ -412,15 +416,14 @@ def run(config: RunConfig | RunSpec | str, out_dir: str | None = None,
     spec = validate(config)
     run_seed = spec.seed if seed is None else seed
     _need(run_seed >= 0, f"seeds must be nonnegative, got {run_seed}")
+    cache = _cache_in(out_dir)
     return _run_built(spec, _build(spec), run_seed, out_dir, cache)
 
 
 def _run_built(spec: RunSpec, built, run_seed: int, out_dir: str | None,
-               cache: OracleCache | None) -> RunResult:
+               cache: OracleCache) -> RunResult:
     """:func:`run` on an instance that :func:`_build` made for ``spec``."""
     problem, graph, failures, inst_key = built
-    if cache is None:
-        cache = _cache_in(out_dir)
     fstar = resolve_fstar(spec, problem, inst_key, cache)
 
     counters = None
@@ -456,7 +459,6 @@ def _run_built(spec: RunSpec, built, run_seed: int, out_dir: str | None,
         manifest["skipped_blocks"] = {"node": counters.node_skips,
                                       "link": counters.link_skips}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, spec.name)
         log.to_csv(base + "_trace.csv")
         write_atomic(base + "_manifest.json", lambda fh: json.dump(
@@ -470,8 +472,7 @@ def _run_built(spec: RunSpec, built, run_seed: int, out_dir: str | None,
     return RunResult(log=log, manifest=manifest, final_x=final_x)
 
 
-def compare(configs, thresholds, out_dir: str | None = None,
-            cache: OracleCache | None = None) -> list[dict]:
+def compare(configs, thresholds, out_dir: str | None = None) -> list[dict]:
     """Run several configs on the same instance and report the cumulative
     transmissions each needs to reach each error threshold.
 
@@ -481,18 +482,18 @@ def compare(configs, thresholds, out_dir: str | None = None,
     :class:`MismatchError`, with nothing solved or written."""
     specs = [validate(c) for c in configs]
     thresholds = [_parse("a threshold", t) for t in thresholds]
+    _need(thresholds, "compare needs at least one threshold")
     seen = set()
     for spec in specs:
         _need(spec.name not in seen, f"two configs are named {spec.name!r}; "
               f"their outputs would overwrite each other")
         seen.add(spec.name)
+    cache = _cache_in(out_dir)
     built = [_build(spec) for spec in specs]
     for spec, (*_, inst_key) in zip(specs, built):
         if inst_key != built[0][-1]:
             raise MismatchError(f"config {spec.name!r} runs a different "
                                 f"instance than {specs[0].name!r}")
-    if cache is None:
-        cache = _cache_in(out_dir)
     results = [(spec, _run_built(spec, inst, spec.seed, out_dir, cache))
                for spec, inst in zip(specs, built)]
     table = []
@@ -508,8 +509,6 @@ def compare(configs, thresholds, out_dir: str | None = None,
                 "k": None if row is None else row.k,
             })
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-
         def compare_lines(fh):
             fh.write("config,algorithm,threshold,reached,transmissions,k\n")
             for row in table:
@@ -527,8 +526,9 @@ def oracle(config: RunConfig | str, out_dir: str | None = None,
     """Compute (or fetch) the reference optimum for a config's instance."""
     _need(budget >= 1, f"the oracle budget must be >= 1, got {budget}")
     spec = validate(config)
+    cache = _cache_in(out_dir)
     problem, _, _, key = _build(spec)
-    fstar, cached = _cached_fstar(_cache_in(out_dir), key, problem, budget)
+    fstar, cached = _cached_fstar(cache, key, problem, budget)
     return {"instance_hash": key, "fstar": fstar, "cached": cached}
 
 
@@ -537,8 +537,9 @@ def sweep(config: RunConfig | str, seeds, out_dir: str | None = None) -> list[di
     per-seed summaries."""
     spec = validate(config)
     seeds = [int(s) for s in seeds]
-    _need(min(seeds, default=0) >= 0,
-          f"seeds must be nonnegative, got {seeds}")
+    _need(seeds, "sweep needs at least one seed")
+    _need(min(seeds) >= 0, f"seeds must be nonnegative, got {seeds}")
+    _need(len(set(seeds)) == len(seeds), f"seeds must differ, got {seeds}")
     cache = _cache_in(out_dir)
     built = _build(spec)
     rows = []

@@ -1,8 +1,9 @@
 """Problem abstraction and concrete instances.
 
 A problem is a sum of private convex node objectives, each with a private
-closed convex constraint set, accessed only through per-node value,
-subgradient, and projection callbacks. Two families are provided: an
+closed convex constraint set, accessed only through per-node value and
+projection callbacks and their whole-network forms. Two families are
+provided: an
 l1-regularized logistic-regression instance (stacked weight/offset variable,
 ball and interval constraints) and a quadratic-consensus instance whose
 optimum is available in closed form, used as the desk-scale oracle.
@@ -21,8 +22,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-
-from .metrics import write_atomic
 
 
 def _fmt(value: float) -> str:
@@ -44,9 +43,9 @@ def _row_dots(D: np.ndarray) -> np.ndarray:
 class ProblemInstance(abc.ABC):
     """Sum-of-private-objectives problem over a common decision vector.
 
-    Subclasses expose the node objective ``f_i``, a subgradient of it, the
-    Euclidean projection onto the node's constraint set, and the flop
-    estimates ``value_flops(i)`` and ``subgrad_flops(i)`` of the first two.
+    Subclasses expose the node objective ``f_i``, the Euclidean projection
+    onto the node's constraint set, and the flop estimates ``value_flops(i)``
+    of ``f_i`` and ``subgrad_flops(i)`` of one of its subgradients.
     Instances are immutable after construction and all callbacks are pure,
     except that ``node_prox`` writes its result into the array it is given.
 
@@ -65,8 +64,10 @@ class ProblemInstance(abc.ABC):
     * ``subgradients(X)`` and ``project(X)``: ``len(X) == n_nodes`` and row
       ``i`` is evaluated at node ``i``, in fresh arrays.
 
-    Each entry must equal the per-node callback (and ``np.linalg.norm`` of
-    the projection step) bit for bit, so that a seeded trace does not
+    Each entry of ``values``, ``set_distances`` and ``project`` must equal
+    ``node_value``, ``np.linalg.norm`` of the ``node_project`` step and
+    ``node_project`` bit for bit, and each row of ``subgradients`` the
+    textbook subgradient of its family, so that a seeded trace does not
     depend on which form computed it.
     """
 
@@ -77,10 +78,6 @@ class ProblemInstance(abc.ABC):
     @abc.abstractmethod
     def node_value(self, i: int, x: np.ndarray) -> float:
         """Evaluate f_i(x)."""
-
-    @abc.abstractmethod
-    def node_subgradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """A subgradient of f_i at x."""
 
     @abc.abstractmethod
     def node_project(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -101,12 +98,6 @@ class ProblemInstance(abc.ABC):
     @abc.abstractmethod
     def project(self, X: np.ndarray) -> np.ndarray:
         """Row i: the projection of X[i] onto node i's set."""
-
-    def global_value(self, x: np.ndarray) -> float:
-        return sum(self.node_value(i, x) for i in range(self.n_nodes))
-
-    def node_feasible(self, i: int, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(self.node_project(i, x) - x) <= tol)
 
     def all_feasible(self, xs: np.ndarray, tol: float = 1e-9) -> bool:
         """Whether every row of ``xs`` lies within ``tol`` of every node
@@ -149,9 +140,6 @@ class QuadConsensusInstance(ProblemInstance):
         d = x - self.targets[i]
         return float(self.weights[i] * (d @ d))
 
-    def node_subgradient(self, i, x):
-        return 2.0 * self.weights[i] * (x - self.targets[i])
-
     def node_project(self, i, x):
         if self.lo is None:
             return np.asarray(x, dtype=float)
@@ -192,7 +180,7 @@ class QuadConsensusInstance(ProblemInstance):
             if np.any(lo > hi):
                 raise ValueError("box constraints have empty intersection")
             x = np.clip(x, lo, hi)
-        return x, self.global_value(x)
+        return x, sum(self.node_value(i, x) for i in range(self.n_nodes))
 
     def value_flops(self, i):
         return 3 * self.dim
@@ -272,12 +260,6 @@ class LogRegInstance(ProblemInstance):
         loss = np.add.reduce(np.logaddexp(self._zero_s, self._neg[i].dot(x)))
         return float(loss + self._l1 * np.add.reduce(np.abs(x[:-1])))
 
-    def node_subgradient(self, i, x):
-        g = -self._design_t[i].dot(self._expit(self._neg[i].dot(x)))
-        # 0 is the chosen subdifferential element at the l1 kink.
-        g[:-1] += self._l1 * np.sign(x[:-1])
-        return g
-
     def node_project(self, i, x):
         out = np.array(x, dtype=float)
         self._project_into(i, out)
@@ -318,12 +300,9 @@ class LogRegInstance(ProblemInstance):
         elif v < -vmax:
             out[-1] = -vmax
 
-    def node_smooth_gradient(self, i, x):
-        return -self._design_t[i].dot(self._expit(self._neg[i].dot(x)))
-
     def node_design(self, i):
         """The negated design ``-D_i`` and its transpose ``D_i^T``, the
-        arrays behind ``node_value`` and ``node_smooth_gradient``: the
+        arrays behind ``node_value`` and the node solver's gradient: the
         smooth part's gradient at ``x`` is ``-D_i^T expit(-D_i x)``."""
         return self._neg[i], self._design_t[i]
 
@@ -454,33 +433,14 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
     return best_z, best_val
 
 
-def gen_logreg(n_nodes: int, dim: int, samples_per_node: int,
-               noise_var: float, seed: int,
-               sparsity: float = 0.6,
-               ref_budget: int = 20000,
-               w_true=None, v_true=None) -> LogRegInstance:
-    """Generate a synthetic sparse-classification instance.
-
-    Feature vectors and the true weight vector have about ``sparsity`` zero
-    entries with standard-normal nonzeros; labels follow the sign of the
-    noisy linear score. The sparsity penalty is half the smallest penalty
-    that zeroes the weights (computed from the loss gradient at zero weights
-    and the optimal intercept), and the constraint radii are inflated copies
-    of an unconstrained reference solve so that the solution is interior.
-    The two steps are :func:`draw_logreg` and :func:`fit_logreg`.
-    """
-    return fit_logreg(*draw_logreg(n_nodes, dim, samples_per_node,
-                                   noise_var, seed, sparsity, w_true,
-                                   v_true), ref_budget)
-
-
 def draw_logreg(n_nodes: int, dim: int, samples_per_node: int,
                 noise_var: float, seed: int, sparsity: float = 0.6,
                 w_true=None, v_true=None) -> tuple:
-    """The samples of :func:`gen_logreg`: ``(rng, features, labels,
-    meta)``, with ``rng`` left where :func:`fit_logreg` goes on drawing
-    the constraint radii. A caller can check the labels here, before the
-    reference solve."""
+    """The samples of a synthetic sparse-classification instance, ``(rng,
+    features, labels, meta)``, with ``rng`` left where :func:`fit_logreg`
+    goes on drawing the constraint radii. Features and the true weights
+    have about ``sparsity`` zero entries with standard-normal nonzeros;
+    labels are the signs of the noisy linear scores."""
     if min(n_nodes, dim, samples_per_node) < 1:
         raise ValueError("all counts must be >= 1")
     if not (math.isfinite(noise_var) and noise_var >= 0):
@@ -510,8 +470,9 @@ def draw_logreg(n_nodes: int, dim: int, samples_per_node: int,
 def fit_logreg(rng: np.random.Generator, features: np.ndarray,
                labels: np.ndarray, meta: dict,
                ref_budget: int = 20000) -> LogRegInstance:
-    """The instance on samples from :func:`draw_logreg`: the penalty, the
-    reference solve and the constraint radii."""
+    """The instance on samples from :func:`draw_logreg`: half the smallest
+    l1 penalty that zeroes the weights, and constraint radii inflated
+    around an unconstrained reference solve, so the solution is interior."""
     from scipy.special import expit
 
     n_nodes, samples_per_node, dim = features.shape
@@ -555,7 +516,7 @@ def err_f(inst: ProblemInstance, xs: Sequence[np.ndarray],
     marks such rows).
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    # node values summed row by row in node order, as global_value sums them
+    # node values summed in node order, as analytic_optimum sums them
     gaps = sum(inst.values(xs)) - fstar
     return float(np.mean(gaps))
 
@@ -595,13 +556,8 @@ def instance_text(inst: ProblemInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_instance(path, inst: ProblemInstance) -> None:
-    """Serialize an instance to a structured text file."""
-    write_atomic(path, lambda fh: fh.write(instance_text(inst)))
-
-
 def load_instance(path) -> ProblemInstance:
-    """Load an instance written by :func:`save_instance`."""
+    """Load an instance from a file holding its :func:`instance_text`."""
     with open(path) as fh:
         raw = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not raw or raw[0] != "algossip-instance v1":

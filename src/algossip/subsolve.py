@@ -47,10 +47,6 @@ class XSubproblem:
     value: float | None = None
     loop: tuple | None = field(default=None, repr=False)
 
-    def objective(self, x: np.ndarray) -> float:
-        return _block_value(self.problem.node_value(self.node, x),
-                            self.linear, self.quad_weight, x)
-
 
 def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
                   inner_tol: float | None = None,

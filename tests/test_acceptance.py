@@ -21,9 +21,10 @@ from algossip.events import Variant as EV, event_distribution, \
     sample_event
 from algossip.graph import FailureModel, build_geometric
 from algossip.metrics import MetricsLog
-from algossip.problem import QuadConsensusInstance, gen_logreg
+from algossip.problem import QuadConsensusInstance
 from algossip import harness
 
+from test_problem import gen_logreg
 from test_subsolve import link_minimizer
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from algossip.errors import ConnectivityFailure, DomainError
 from algossip.events import sample_mg_event
 from algossip.graph import (FailureModel, Supergraph, build_geometric,
-                            failure_prob, load_network, save_network)
+                            failure_prob, load_network, network_text)
 
 
 def delivered(model, sender, receiver, rng) -> bool:
@@ -14,6 +14,11 @@ def delivered(model, sender, receiver, rng) -> bool:
     is drawn independently with its success probability)."""
     ev = sample_mg_event(sender, model.graph, model, rng)
     return model.graph.arc_id[(sender, receiver)] in (ev.receivers or ())
+
+
+def arc_distance(graph, i, j) -> float:
+    """Euclidean distance between the positions of nodes ``i`` and ``j``."""
+    return float(np.linalg.norm(graph.positions[i] - graph.positions[j]))
 
 
 class TestSupergraph:
@@ -149,7 +154,7 @@ class TestFailureModel:
         g = build_geometric(8, 0.6, seed=11)
         model = FailureModel.from_distance(g, 0.6, 0.5)
         for arc in g.arcs:
-            d = g.edge_distance(*arc)
+            d = arc_distance(g, *arc)
             assert model.p[g.arc_id[arc]] == pytest.approx(
                 1.0 - 0.5 * d ** 2 / 0.6 ** 2)
             assert model.p[g.arc_id[arc]] > 0
@@ -159,7 +164,7 @@ class TestFailureModel:
         g = build_geometric(12, 0.5, seed=5)
         model = FailureModel.from_distance(g, 0.5, 0.5)
         assert model.p == tuple(
-            1.0 - failure_prob(g.edge_distance(*arc), 0.5, 0.5)
+            1.0 - failure_prob(arc_distance(g, *arc), 0.5, 0.5)
             for arc in g.arcs)
         with pytest.raises(ValueError, match="no positions"):
             FailureModel.from_distance(Supergraph(2, [(0, 1)]), 0.5, 0.5)
@@ -170,7 +175,7 @@ class TestNetworkIO:
         g = build_geometric(9, 0.5, seed=2)
         model = FailureModel.from_distance(g, 0.5, 0.5)
         path = tmp_path / "net.txt"
-        save_network(path, g, model)
+        path.write_text(network_text(g, model))
         g2, model2 = load_network(path)
         assert g2.n == g.n
         assert g2.edges == g.edges
@@ -178,7 +183,8 @@ class TestNetworkIO:
 
     def test_always_on_mode_round_trips(self, tmp_path, ring4_graph):
         path = tmp_path / "net.txt"
-        save_network(path, ring4_graph, FailureModel.always_on(ring4_graph))
+        path.write_text(network_text(ring4_graph,
+                                     FailureModel.always_on(ring4_graph)))
         _, model = load_network(path)
         assert model.reliable
 

@@ -14,7 +14,7 @@ from algossip.cli import main as cli_main
 from algossip.errors import ConfigError, MismatchError
 from algossip.events import EventKind
 from algossip.metrics import MetricsLog, MetricsRow, write_atomic
-from algossip.problem import LogRegInstance, err_f, save_instance
+from algossip.problem import LogRegInstance, err_f, instance_text
 
 GOLDEN = Path(__file__).parent / "golden"
 QUAD_CONFIG = """
@@ -44,7 +44,7 @@ fstar = auto
 """
 
 
-# the quad problem becomes gen_logreg(4, 5, 4, 0.1, seed=3), whose 16
+# the quad problem becomes draw_logreg(4, 5, 4, 0.1, seed=3), whose 16
 # labels are all +1
 ONE_CLASS_EDIT = ("kind = quad\nnodes = 4\ndim = 1\ntargets = 0; 1; 2; 3",
                   "kind = logreg\nnodes = 4\ndim = 5\n"
@@ -298,14 +298,14 @@ class TestReliableLinks:
 
 class TestFileBackedConfigs:
     def test_run_from_saved_network_and_instance(self, tmp_path):
-        from algossip.graph import FailureModel, build_geometric, save_network
-        from algossip.problem import QuadConsensusInstance, save_instance
+        from algossip.graph import FailureModel, build_geometric, network_text
+        from algossip.problem import QuadConsensusInstance
 
         graph = build_geometric(4, 0.9, seed=2)
-        save_network(tmp_path / "net.txt", graph,
-                     FailureModel.always_on(graph))
+        (tmp_path / "net.txt").write_text(
+            network_text(graph, FailureModel.always_on(graph)))
         inst = QuadConsensusInstance([[0.0], [1.0], [2.0], [3.0]])
-        save_instance(tmp_path / "inst.txt", inst)
+        (tmp_path / "inst.txt").write_text(instance_text(inst))
         body = f"""
 [problem]
 kind = file
@@ -464,32 +464,6 @@ class TestAtomicWrites:
                       "--out", str(plot)])
         assert plot.read_bytes() == before
         assert list(plot_dir.iterdir()) == [plot]
-
-
-    def test_failed_save_keeps_previous_network_and_instance(
-            self, tmp_path, monkeypatch):
-        from algossip.graph import FailureModel, build_geometric, save_network
-        from algossip.problem import QuadConsensusInstance, save_instance
-
-        graph = build_geometric(4, 0.9, seed=2)
-        net, inst = tmp_path / "net.txt", tmp_path / "inst.txt"
-        save_network(net, graph, FailureModel.always_on(graph))
-        save_instance(inst, QuadConsensusInstance([[0.0], [1.0], [2.0],
-                                                   [3.0]]))
-        before = {p: p.read_bytes() for p in (net, inst)}
-
-        def interrupted(src, dst):
-            raise KeyboardInterrupt
-
-        # different contents are written out, then the save is cut short
-        monkeypatch.setattr(os, "replace", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            save_network(net, graph, FailureModel.uniform(graph, 0.5))
-        with pytest.raises(KeyboardInterrupt):
-            save_instance(inst, QuadConsensusInstance([[4.0], [5.0], [6.0],
-                                                       [7.0]]))
-        assert {p: p.read_bytes() for p in (net, inst)} == before
-        assert sorted(tmp_path.iterdir()) == sorted(before)
 
 
 class TestCompare:
@@ -653,9 +627,9 @@ class TestCLI:
         (tmp_path / "unreliable.txt").write_text(
             "4\n0 1 0.5 1\n1 2 1 1\n2 3 1 1\n")
         # every sample labeled +1
-        save_instance(tmp_path / "one_class.txt", LogRegInstance(
+        (tmp_path / "one_class.txt").write_text(instance_text(LogRegInstance(
             np.ones((4, 2, 1)), np.ones((4, 2)), 0.1, np.ones(4),
-            np.ones(4)))
+            np.ones(4))))
         body = QUAD_CONFIG.format(name="alg", t_outer=2, extra="")
         for old, new in edits:
             assert old in body
@@ -678,17 +652,40 @@ class TestCLI:
          "0"],
         ["compare", "--configs", "{cfg}", "{tmp}/sub/run.cfg",
          "--thresholds", "1e-2", "--out", "{tmp}/out"],
+        ["sweep", "--config", "{cfg}", "--seeds", "3..1", "--out",
+         "{tmp}/out"],
+        ["sweep", "--config", "{cfg}", "--seeds", "1,1", "--out",
+         "{tmp}/out"],
+        ["compare", "--configs", "{cfg}", "--thresholds", ",", "--out",
+         "{tmp}/out"],
+        ["run", "--config", "{cfg}", "--out", "{tmp}/malformed.csv"],
+        ["oracle", "--config", "{cfg}", "--out", "{tmp}/malformed.csv/out"],
+        ["sweep", "--config", "{cfg}", "--seeds", "0", "--out",
+         "{tmp}/malformed.csv"],
+        ["compare", "--configs", "{cfg}", "--thresholds", "1e-2", "--out",
+         "{tmp}/malformed.csv"],
+        ["extract", "--trace", "{tmp}/empty.csv", "--out",
+         "{tmp}/missing/plot.txt"],
     ], ids=["compare_thresholds", "extract_missing", "extract_malformed",
-            "oracle_budget", "compare_same_name"])
+            "oracle_budget", "compare_same_name", "sweep_no_seeds",
+            "sweep_repeated_seed", "compare_no_thresholds", "run_out_file",
+            "oracle_out_under_file", "sweep_out_file", "compare_out_file",
+            "extract_out_missing_dir"])
     def test_bad_arguments_exit_2_with_one_line(self, tmp_path, capsys,
-                                                args):
+                                                monkeypatch, args):
         cfg = write_config(tmp_path)
         # another config named "run", on the same instance
         (tmp_path / "sub").mkdir()
         write_config(tmp_path / "sub", name="alg")
-        (tmp_path / "malformed.csv").write_text(
-            "t,k,transmissions,flops,err_f,L_value,max_dual_gap,feasible\n"
-            "0,0,x\n")
+        header = ("t,k,transmissions,flops,err_f,L_value,max_dual_gap,"
+                  "feasible\n")
+        (tmp_path / "malformed.csv").write_text(header + "0,0,x\n")
+        (tmp_path / "empty.csv").write_text(header)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built before the arguments were checked")
+
+        monkeypatch.setattr(harness, "build_problem", no_build)
         assert cli_main([a.format(cfg=cfg, tmp=tmp_path) for a in args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1

@@ -10,13 +10,32 @@ from algossip.algo import FEAS_TOL, PenaltySchedule, Variant, run_outer
 from algossip.baseline import run_ps
 from algossip.graph import Supergraph
 from algossip.problem import (LogRegInstance, ProblemInstance,
-                              QuadConsensusInstance, err_f, gen_logreg,
-                              instance_text, load_instance, save_instance)
+                              QuadConsensusInstance, draw_logreg, err_f,
+                              fit_logreg, instance_text, load_instance)
 
 # Frozen reference for the desk-scale classification instance
 # (5 nodes, 5 features, 5 samples/node, noise 0.1, seed 1), computed with
 # the accelerated proximal reference solver and stable across budgets.
 DESK_LOGREG_FSTAR = 13.852393714373704
+
+
+def gen_logreg(n_nodes, dim, samples_per_node, noise_var, seed,
+               sparsity=0.6, ref_budget=20000, w_true=None, v_true=None):
+    """A synthetic sparse-classification instance: the harness's
+    ``draw_logreg`` then ``fit_logreg``, without its one-class check."""
+    return fit_logreg(*draw_logreg(n_nodes, dim, samples_per_node,
+                                   noise_var, seed, sparsity, w_true,
+                                   v_true), ref_budget)
+
+
+def global_value(inst, x):
+    """The sum of the node objectives at ``x``, in node order."""
+    return sum(inst.node_value(i, x) for i in range(inst.n_nodes))
+
+
+def node_feasible(inst, i, x, tol=1e-9):
+    """Whether ``x`` lies within ``tol`` of node ``i``'s set."""
+    return bool(np.linalg.norm(inst.node_project(i, x) - x) <= tol)
 
 
 def quad_two_nodes(**kw):
@@ -26,7 +45,7 @@ def quad_two_nodes(**kw):
 class TestQuadConsensus:
     def test_global_value_is_plain_sum(self):
         inst = quad_two_nodes()
-        assert inst.global_value(np.array([1.0])) == pytest.approx(2.0)
+        assert inst.values(np.array([[1.0]])).sum() == pytest.approx(2.0)
 
     def test_unconstrained_optimum_is_mean(self):
         x, f = quad_two_nodes().analytic_optimum()
@@ -42,7 +61,7 @@ class TestQuadConsensus:
     def test_value_at_optimum_matches_fstar(self):
         inst = quad_two_nodes()
         x, f = inst.analytic_optimum()
-        assert inst.global_value(x) == pytest.approx(f, abs=1e-15)
+        assert global_value(inst, x) == pytest.approx(f, abs=1e-15)
 
     def test_projection_is_clipping(self):
         inst = quad_two_nodes(lo=[[0.0], [0.0]], hi=[[1.0], [1.5]])
@@ -54,7 +73,7 @@ class TestLogRegInstance:
     def test_zero_data_value_is_log_two_per_sample(self):
         inst = LogRegInstance(np.zeros((2, 3, 2)), np.ones((2, 3)), 0.0,
                               [1.0, 1.0], [1.0, 1.0])
-        got = inst.global_value(np.zeros(3))
+        got = global_value(inst, np.zeros(3))
         assert got == pytest.approx(2 * 3 * np.log(2))
 
     def test_labels_are_validated(self):
@@ -98,7 +117,7 @@ class TestLogRegInstance:
             x = rng.normal(scale=2.0, size=inst.dim)
             y = rng.normal(scale=2.0, size=inst.dim)
             gap = (inst.node_value(i, y) - inst.node_value(i, x)
-                   - inst.node_subgradient(i, x) @ (y - x))
+                   - textbook_subgradient(inst, i, x) @ (y - x))
             assert gap >= -1e-9
 
     def test_midpoint_convexity_spot_checks(self):
@@ -142,7 +161,7 @@ class TestLogRegInstance:
             i = int(rng.integers(inst.n_nodes))
             x = rng.normal(size=inst.dim)
             x[:-1][np.abs(x[:-1]) < 0.1] = 0.25  # stay away from |w|=0
-            g = inst.node_subgradient(i, x)
+            g = textbook_subgradient(inst, i, x)
             for c in range(inst.dim):
                 e = np.zeros(inst.dim)
                 e[c] = h
@@ -208,11 +227,11 @@ def projected_subgradient(inst, budget, step_scale):
         return x
 
     x = project(np.zeros(inst.dim))
-    best = inst.global_value(x)
+    best = global_value(inst, x)
     for k in range(1, budget + 1):
-        g = sum(inst.node_subgradient(i, x) for i in range(inst.n_nodes))
+        g = sum(textbook_subgradient(inst, i, x) for i in range(inst.n_nodes))
         x = project(x - (step_scale / np.sqrt(k)) * g)
-        best = min(best, inst.global_value(x))
+        best = min(best, global_value(inst, x))
     return best
 
 
@@ -244,7 +263,7 @@ class TestErrF:
         x_star, f = inst.analytic_optimum()
         # one node at the optimum, one at cost f* + 2
         off = np.array([1.0 + np.sqrt(2) / np.sqrt(2)])  # cost 2 above f*
-        assert inst.global_value(off) == pytest.approx(f + 2.0)
+        assert global_value(inst, off) == pytest.approx(f + 2.0)
         assert err_f(inst, [x_star, off], f) == pytest.approx(1.0)
 
 
@@ -255,7 +274,7 @@ class TestSerialization:
                                      hi=[[3, 4], [2.5, 4]],
                                      weights=[1.0, 0.5])
         path = tmp_path / "inst.txt"
-        save_instance(path, inst)
+        path.write_text(instance_text(inst))
         back = load_instance(path)
         np.testing.assert_array_equal(back.targets, inst.targets)
         np.testing.assert_array_equal(back.weights, inst.weights)
@@ -266,7 +285,7 @@ class TestSerialization:
     def test_logreg_round_trip(self, tmp_path):
         inst = gen_logreg(3, 4, 2, 0.1, seed=6)  # 4 of 6 labels positive
         path = tmp_path / "inst.txt"
-        save_instance(path, inst)
+        path.write_text(instance_text(inst))
         back = load_instance(path)
         np.testing.assert_array_equal(back.features, inst.features)
         np.testing.assert_array_equal(back.labels, inst.labels)
@@ -301,6 +320,8 @@ def textbook_smooth_gradient(inst, i, x):
 
 
 def textbook_subgradient(inst, i, x):
+    if isinstance(inst, QuadConsensusInstance):
+        return 2.0 * inst.weights[i] * (x - inst.targets[i])
     g = textbook_smooth_gradient(inst, i, x)
     g[:-1] += (inst.lam_reg / inst.n_nodes) * np.sign(x[:-1])
     return g
@@ -370,14 +391,17 @@ class TestLogRegCallbacksBitForBit:
     @given(args=callback_inputs(), as_list=st.booleans())
     def test_callbacks_match_textbook_expressions(self, args, as_list):
         i, x, step, u = args
+        neg, design_t = SPARSE.node_design(i)
+        every_node = np.repeat([x], SPARSE.n_nodes, axis=0)
         if as_list:
             x, u = x.tolist(), u.tolist()
         pairs = [
             (SPARSE.node_value(i, x), textbook_value(SPARSE, i, x)),
-            (SPARSE.node_smooth_gradient(i, x),
+            # the node solver's gradient of the smooth part
+            (-design_t.dot(expit(neg.dot(x))),
              textbook_smooth_gradient(SPARSE, i, x)),
-            (SPARSE.node_subgradient(i, x),
-             textbook_subgradient(SPARSE, i, x)),
+            (SPARSE.subgradients(every_node)[i],
+             textbook_subgradient(SPARSE, i, every_node[i])),
             (SPARSE.node_project(i, x), textbook_project(SPARSE, i, x)),
             # node_prox writes the array it is given: hand it a copy
             (SPARSE.node_prox(i, np.array(u, dtype=float), step),
@@ -390,19 +414,12 @@ class TestLogRegCallbacksBitForBit:
     @given(args=callback_inputs())
     def test_callbacks_leave_input_alone_and_return_fresh_arrays(self, args):
         i, x, step, u = args
-        calls = [
-            lambda v: SPARSE.node_smooth_gradient(i, v),
-            lambda v: SPARSE.node_subgradient(i, v),
-            lambda v: SPARSE.node_project(i, v),
-        ]
-        for call in calls:
-            before = x.copy()
-            first, second = call(x), call(x)
-            assert same_bits(x, before)
-            for out in (first, second):
-                assert not np.shares_memory(out, x)
-            assert not np.shares_memory(first, second)
         before = x.copy()
+        first, second = SPARSE.node_project(i, x), SPARSE.node_project(i, x)
+        assert same_bits(x, before)
+        for out in (first, second):
+            assert not np.shares_memory(out, x)
+        assert not np.shares_memory(first, second)
         SPARSE.node_value(i, x)
         assert same_bits(x, before)
         # the prox works in place: it writes the array it is given and
@@ -418,7 +435,8 @@ class TestLogRegCallbacksBitForBit:
 # Whole-network callbacks against the per-node ones
 # --------------------------------------------------------------------------
 # Checkpoints and the ps baseline evaluate every node at once; each entry
-# must carry the bits of the per-node callback it replaces.
+# must carry the bits of the per-node callback it replaces, and each
+# subgradient those of the textbook expression.
 
 NEAR_TOL = [0.0, 0.5 * FEAS_TOL, FEAS_TOL, FEAS_TOL * (1 - 1e-6),
             FEAS_TOL * (1 + 1e-6), 2 * FEAS_TOL, 1.0]
@@ -481,13 +499,13 @@ def network_points(draw, inst, rows=None):
 
 
 def old_err_f(inst, xs, fstar):
-    """err_f as it was: one global_value per estimate."""
-    return float(np.mean([inst.global_value(x) - fstar for x in xs]))
+    """err_f as it was: one global value per estimate."""
+    return float(np.mean([global_value(inst, x) - fstar for x in xs]))
 
 
 def old_all_feasible(inst, xs, tol):
     """all_feasible as it was: one node_feasible call per (estimate, node)."""
-    return all(inst.node_feasible(i, x, tol)
+    return all(node_feasible(inst, i, x, tol)
                for x in xs for i in range(inst.n_nodes))
 
 
@@ -512,7 +530,8 @@ class TestWholeNetworkCallbacks:
         for out in (subgradients, projections):
             assert not np.shares_memory(out, X)
         for i, x in enumerate(X):
-            assert same_bits(subgradients[i], inst.node_subgradient(i, x))
+            assert same_bits(subgradients[i],
+                             textbook_subgradient(inst, i, x))
             assert same_bits(projections[i], inst.node_project(i, x))
 
     @settings(max_examples=100, deadline=None)

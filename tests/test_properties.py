@@ -18,6 +18,7 @@ from algossip.events import (Event, EventKind, event_distribution,
 from algossip.graph import FailureModel, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 
+from test_problem import node_feasible
 from test_subsolve import link_minimizer
 
 GRAPHS = st.builds(build_geometric, n=st.integers(2, 7),
@@ -70,7 +71,6 @@ def test_arc_layout_matches_arc_order(graph):
         assert graph.arc_sign[a] == (1 if i < j else -1)
     assert graph.src_of == tuple(graph.arc_src.tolist())
     assert graph.rev_of == tuple(graph.arc_rev.tolist())
-    assert graph.sign_of == tuple(graph.arc_sign.tolist())
     for i in range(graph.n):
         out = graph.arcs[graph.out_slice[i]]
         assert tuple(j for _, j in out) == graph.neighbors[i]
@@ -162,7 +162,7 @@ def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
         rng = np.random.default_rng(seed)
 
         def every_node_feasible():
-            assert all(inst.node_feasible(i, state.x[i])
+            assert all(node_feasible(inst, i, state.x[i])
                        for i in range(graph.n))
 
         every_node_feasible()
@@ -244,7 +244,7 @@ def resolved_link(state, out, inbound, pen):
     g = state.graph
     return link_minimizer(state.x[g.src_of[out]], state.y_recv[inbound],
                           state.mu[out], state.lam[out], pen[1, out],
-                          pen[0, out], g.sign_of[out])
+                          pen[0, out], g.arc_sign[out])
 
 
 def check_event(state, seen, pen, last, closed_form_nodes, counters):

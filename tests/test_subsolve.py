@@ -8,10 +8,16 @@ from scipy.optimize import minimize_scalar
 from algossip.algo import PenaltySchedule, Variant, run_outer
 from algossip.errors import DomainError
 from algossip.graph import build_geometric
-from algossip.problem import (LogRegInstance, QuadConsensusInstance,
-                              gen_logreg)
+from algossip.problem import LogRegInstance, QuadConsensusInstance
 from algossip.subsolve import (XSubproblem, solve_bg_block, solve_x_block,
                                y_closed_form_peredge)
+from test_problem import gen_logreg, node_feasible, textbook_smooth_gradient
+
+
+def block_objective(sub, x):
+    """The node block's objective ``f_i(x) + linear^T x + (q/2)||x||^2``."""
+    return (sub.problem.node_value(sub.node, x) + sub.linear @ x
+            + 0.5 * sub.quad_weight * (x @ x))
 
 
 def link_objective(y, x_i, y_ji, mu, lam, rho_lam, rho_mu, sign):
@@ -222,8 +228,8 @@ def check_safeguarded(prob, sub, x, warm, kept):
     warm start, which is left as it was."""
     np.testing.assert_array_equal(warm, kept)
     assert not np.shares_memory(x, warm)
-    assert prob.node_feasible(0, x)
-    assert sub.objective(x) <= sub.objective(warm)
+    assert node_feasible(prob, 0, x)
+    assert block_objective(sub, x) <= block_objective(sub, warm)
 
 
 class TestSolveXBlock:
@@ -318,7 +324,7 @@ class TestSolveXBlock:
                                   0, rng.normal(size=3)))
             # x is a fixed point of the prox-gradient map
             step = 1.0 / (prob.node_smooth_lipschitz(0) + q)
-            grad = prob.node_smooth_gradient(0, x) + c + q * x
+            grad = textbook_smooth_gradient(prob, 0, x) + c + q * x
             np.testing.assert_allclose(
                 prob.node_prox(0, x - step * grad, step), x, atol=1e-9)
 
@@ -350,19 +356,20 @@ class TestSolveXBlock:
                 active += bool(
                     w.dot(w) >= (1 - 1e-9) * prob.ball_sq[i]
                     or abs(star[-1]) >= (1 - 1e-9) * prob.v_bound[i])
-                f_star = sub.objective(star)
+                f_star = block_objective(sub, star)
                 rate = 1.0 - math.sqrt(
                     q / (prob.node_smooth_lipschitz(i) + q))
                 d = x0 - star
-                start_gap = sub.objective(x0) - f_star + 0.5 * q * d.dot(d)
+                start_gap = (block_objective(sub, x0) - f_star
+                             + 0.5 * q * d.dot(d))
                 slack = 1e-14 * abs(f_star)  # rounding in the objectives
                 for k in (1, 3, 10, 25):
-                    gap = sub.objective(solve(k, None, x0)) - f_star
+                    gap = block_objective(sub, solve(k, None, x0)) - f_star
                     assert gap <= rate ** k * start_gap + slack
                 # the run's settings: within 1e-12 of the long solve, or
                 # of what the rate promises after 25 iterations when that
                 # is more (kappa near 10 from far away)
-                gap = sub.objective(solve(25, 1e-10, x0)) - f_star
+                gap = block_objective(sub, solve(25, 1e-10, x0)) - f_star
                 assert abs(gap) <= max(1e-12 * abs(f_star),
                                        rate ** 25 * start_gap + slack)
             if probs is tight:
