@@ -289,10 +289,11 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     (one transmission); ``pen`` is one float.
 
     Everything fixed for the slot is bound here once: the state's row
-    views, each node's out-arc penalty column and its block subproblem
-    (weighted by the penalty sum, and holding ``f_i`` at the node's
-    estimate, evaluated here and kept current by the solves), and each
-    arc's link minimizer, three weights and an operand whose last row is
+    views, each node's sum of out-arc tie duals, its row of out-arc tie
+    penalties and its block subproblem (weighted by the penalty sum, and,
+    for an l1-logistic node, holding ``f_i`` at the node's estimate,
+    evaluated here and kept current by the solves), and each arc's link
+    minimizer, three weights and an operand whose last row is
     fixed and whose first two a delivery fills (built by
     ``y_closed_form_peredge``, which raises :class:`DomainError` on a
     non-positive penalty sum). The samplers and block solvers are looked
@@ -310,9 +311,10 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     unsettled = sum(not v < tol for v in x_move)
     degrees = g.degrees.tolist()
 
-    # f_i at x[i] per node, which code outside a slot may have changed; the
-    # block solves keep it current (see XSubproblem.value)
-    values = [problem.node_value(i, x_i) for i, x_i in enumerate(x_rows)]
+    # f_i at x[i] per l1-logistic node, which code outside a slot may have
+    # changed; the block solves keep it current (see XSubproblem.value)
+    values = [None] * g.n if problem.quadratic else [
+        problem.node_value(i, x_i) for i, x_i in enumerate(x_rows)]
     zero = np.zeros(problem.dim)
 
     if variant is Variant.ALBG:
@@ -353,19 +355,19 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     links = list(zip(weights, operands, operands[:, 0], operands[:, 1]))
     # Python floats index and multiply faster than numpy scalars.
     rho_mu = pen[0].tolist()
-    dim, link_flops = problem.dim, 8 * problem.dim
-    # per node: its out-arc blocks of mu and y, their tie penalties (one
-    # row per arc, repeated across the columns), its block subproblem (the
-    # penalty sum is its quadratic weight; each solve sets the linear term;
-    # it caches f_i) and a run of dirty flags for its links
+    link_flops = 8 * problem.dim
+    # per node: the sum of its out-arc mu, the row of their tie penalties
+    # and its out-arc block of y, so that its linear term is ``mu_sum -
+    # rho_row.dot(y_blk)``; its block subproblem (the penalty sum, in arc
+    # order, is its quadratic weight) and a run of dirty flags for its links
     blocks = []
     for i in range(g.n):
         arcs = g.out_slice[i]
         quad = 0.0
-        for r in rho_mu[arcs]:  # summed in arc order, like the linear term
+        for r in rho_mu[arcs]:
             quad += r
-        blocks.append((arcs, state.mu[arcs], state.y[arcs],
-                       np.repeat(np.array(rho_mu[arcs])[:, None], dim, 1),
+        blocks.append((arcs, state.mu[arcs].sum(axis=0),
+                       np.array(rho_mu[arcs]), state.y[arcs],
                        XSubproblem(problem, i, zero, quad, values[i]),
                        [True] * (arcs.stop - arcs.start)))
     X_UPDATE, Y_TRANSFER = EventKind.X_UPDATE, EventKind.Y_TRANSFER
@@ -379,15 +381,8 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             counters.node_skips += 1
             return
         node_dirty[i] = False
-        arcs, mu_blk, y_blk, rho_blk, sub, dirty_run = blocks[i]
-        if dirty_run:
-            # The arc terms summed one row at a time, in arc order: a
-            # reduction over a single column would sum pairwise and round
-            # differently. Adding zero last gives the bits of a sum started
-            # from zero (it only turns a -0.0 into 0.0).
-            sub.linear = np.add.accumulate(mu_blk - rho_blk * y_blk)[-1] \
-                + zero
-        # else: a node without neighbors keeps the zero linear term
+        arcs, mu_sum, rho_row, y_blk, sub, dirty_run = blocks[i]
+        sub.linear = mu_sum - rho_row.dot(y_blk)
         x_i = x_rows[i]
         new = solve_x_block(sub, inner_budget, inner_tol, x_i, counters)
         d = new - x_i

@@ -120,8 +120,7 @@ class Supergraph:
         return f"Supergraph(n={self.n}, edges={self.num_edges})"
 
 
-def build_geometric(n: int, radius: float, seed: int,
-                    max_retries: int = MAX_CONNECT_RETRIES) -> Supergraph:
+def build_geometric(n: int, radius: float, seed: int) -> Supergraph:
     """Sample a connected random geometric graph on the unit square.
 
     Node positions are uniform on [0, 1]^2 and pairs closer than ``radius``
@@ -132,15 +131,15 @@ def build_geometric(n: int, radius: float, seed: int,
     Raises
     ------
     ConnectivityFailure
-        If no connected draw is found within ``max_retries`` attempts
-        (the radius is too small for ``n``).
+        If no connected draw is found within ``MAX_CONNECT_RETRIES``
+        attempts (the radius is too small for ``n``).
     """
     if n < 1:
         raise ValueError(f"node count must be >= 1, got {n}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_CONNECT_RETRIES):
         pos = rng.random((n, 2))
         diff = pos[:, None, :] - pos[None, :, :]
         dist = np.sqrt((diff ** 2).sum(axis=2))
@@ -150,7 +149,7 @@ def build_geometric(n: int, radius: float, seed: int,
             return g
     raise ConnectivityFailure(
         f"no connected geometric graph with n={n}, radius={radius} "
-        f"after {max_retries} attempts"
+        f"after {MAX_CONNECT_RETRIES} attempts"
     )
 
 

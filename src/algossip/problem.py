@@ -309,20 +309,16 @@ class LogRegInstance(ProblemInstance):
     def node_smooth_lipschitz(self, i):
         return float(self._lip[i])
 
-    def node_prox(self, i, u, step, threshold=None):
+    def node_prox(self, i, u, threshold):
         """The prox at ``u`` of ``step`` times the l1 term, over the node's
         set, written into ``u`` (a float array), which is returned.
-        ``threshold`` is the l1 threshold ``t = step * lam_reg / n_nodes``;
-        a caller that makes many calls at one step can pass the pair
-        ``(t, -t)`` computed, as 0-d arrays, which numpy does not convert
-        on every call."""
+        ``threshold`` is the pair ``(t, -t)`` for ``t = step * lam_reg /
+        n_nodes``; the node solver passes 0-d arrays, which numpy does not
+        convert on every call."""
         # soft-threshold the weights as w - clip(w, -t, t) (three calls;
         # np.clip costs more than its two halves), then project; scaling a
         # thresholded vector radially solves the joint l1 + ball prox
         # exactly
-        if threshold is None:
-            t = step * self.lam_reg / self.n_nodes
-            threshold = (t, -t)
         w = u[:-1]
         clipped = np.minimum(w, threshold[0])
         np.maximum(clipped, threshold[1], out=clipped)
@@ -434,13 +430,12 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
 
 
 def draw_logreg(n_nodes: int, dim: int, samples_per_node: int,
-                noise_var: float, seed: int, sparsity: float = 0.6,
-                w_true=None, v_true=None) -> tuple:
+                noise_var: float, seed: int) -> tuple:
     """The samples of a synthetic sparse-classification instance, ``(rng,
     features, labels, meta)``, with ``rng`` left where :func:`fit_logreg`
     goes on drawing the constraint radii. Features and the true weights
-    have about ``sparsity`` zero entries with standard-normal nonzeros;
-    labels are the signs of the noisy linear scores."""
+    have about 60% zero entries with standard-normal nonzeros; labels are
+    the signs of the noisy linear scores."""
     if min(n_nodes, dim, samples_per_node) < 1:
         raise ValueError("all counts must be >= 1")
     if not (math.isfinite(noise_var) and noise_var >= 0):
@@ -450,14 +445,12 @@ def draw_logreg(n_nodes: int, dim: int, samples_per_node: int,
 
     def sparse_normal(shape):
         vals = rng.standard_normal(shape)
-        mask = rng.random(shape) < sparsity
+        mask = rng.random(shape) < 0.6
         vals[mask] = 0.0
         return vals
 
-    drawn_w = sparse_normal(dim)
-    drawn_v = float(rng.standard_normal())
-    w_true = drawn_w if w_true is None else np.asarray(w_true, dtype=float)
-    v_true = drawn_v if v_true is None else float(v_true)
+    w_true = sparse_normal(dim)
+    v_true = float(rng.standard_normal())
     features = sparse_normal((n_nodes, samples_per_node, dim))
     noise = rng.standard_normal((n_nodes, samples_per_node)) * np.sqrt(noise_var)
     score = features @ w_true + v_true + noise

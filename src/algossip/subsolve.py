@@ -3,10 +3,9 @@
 Each inner event minimizes the augmented Lagrangian over one block while the
 rest stay fixed. The node block reduces to ``f_i(x) + c^T x + (q/2)||x||^2``
 over the node's set; the link blocks have exact closed forms, bound once
-per slot as one affine map per arc (:func:`y_closed_form_peredge`). Inexact
-node solves never return a point with a larger block objective than the
-warm start: the accelerated solver checks this once, at the end of the
-solve.
+per slot as one affine map per arc (:func:`y_closed_form_peredge`). A node
+solve never returns a point with a larger block objective than the warm
+start (see :func:`solve_x_block` for how each family checks this).
 """
 
 from __future__ import annotations
@@ -33,12 +32,14 @@ class XSubproblem:
     whenever the penalty is positive and the node has a neighbor.
 
     ``value`` is ``f_i`` at the warm start of the next solve when the
-    caller keeps it (``None``: each solve evaluates it). A solve given a
-    value replaces it with ``f_i`` at the point it returns, so a caller
-    that warm-starts each solve at the previous result, as the slot kernel
-    does, evaluates ``f_i`` once per solve. ``loop`` holds what the
-    l1-logistic solver binds on its first solve of this block and reuses
-    while ``quad_weight`` stays the same (see :func:`_bind_composite`)."""
+    caller keeps it (``None``: each solve evaluates it). An l1-logistic
+    solve given a value replaces it with ``f_i`` at the point it returns,
+    so a caller that warm-starts each solve at the previous result, as the
+    slot kernel does, evaluates ``f_i`` once per solve. A quadratic solve
+    evaluates no ``f_i`` and ignores ``value``. ``loop`` holds what the
+    solver binds on its first solve of this block and reuses while
+    ``quad_weight`` stays the same: ``(q, 2w*a, 2w + q)`` for a quadratic
+    block, :func:`_bind_composite`'s tuple for an l1-logistic one."""
 
     problem: ProblemInstance
     node: int
@@ -55,16 +56,22 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     """Approximately minimize the node block.
 
     Quadratic node objectives ``w||x - a||^2`` are solved exactly: the
-    regularized stationary point ``(2wa - c)/(2w + q)`` projected onto the
-    node set is the constrained minimizer because the Hessian is isotropic.
-    When ``2w + q = 0`` (a one-node network whose node has weight 0) the
-    block objective is constant on the node set and the warm start is
-    returned. The l1-logistic objectives use accelerated proximal gradient
-    with constant momentum, which the added ``(q/2)||x||^2`` term makes
-    linearly convergent (see :func:`_solve_composite`). In every case the
-    result never has a larger block objective than the warm start: one
-    block objective is evaluated per solve when ``sub.value`` holds the
-    warm start's ``f_i``, two when it is ``None``.
+    block objective is ``((2w + q)/2)||x - x*||^2`` plus a constant, with
+    ``x* = (2wa - c)/(2w + q)``, so the projection of ``x*`` onto the node
+    set is the constrained minimizer, and a point has a smaller block
+    objective than the warm start exactly when it lies closer to ``x*``.
+    The solve keeps the projection when it does and otherwise returns the
+    warm start, on a tie too; a NaN ``x*`` is never closer. Two objective
+    values would differ far below their rounding near the minimizer.
+    When ``2w + q = 0`` (a one-node network whose
+    node has weight 0) the block objective is constant on the node set and
+    the warm start is returned. The l1-logistic objectives use accelerated
+    proximal gradient with constant momentum, which the added
+    ``(q/2)||x||^2`` term makes linearly convergent (see
+    :func:`_solve_composite`); its result never has a larger block
+    objective than the warm start: one block objective is evaluated per
+    solve when ``sub.value`` holds the warm start's ``f_i``, two when it is
+    ``None``.
     """
     if inner_budget < 1:
         raise ValueError("inner_budget must be >= 1")
@@ -74,24 +81,29 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     if not prob.quadratic:
         return _solve_composite(sub, inner_budget, inner_tol, warm_start,
                                 counters)
-    w, a = prob.quad_coeff(i)
-    denom = 2.0 * w + sub.quad_weight
+    loop = sub.loop
+    if loop is None or loop[0] != sub.quad_weight:
+        w, a = prob.quad_coeff(i)
+        loop = sub.loop = (sub.quad_weight, 2.0 * w * a,
+                           2.0 * w + sub.quad_weight)
+    _, scaled_target, denom = loop
     if denom <= 0:
         return np.array(warm_start, dtype=float)
-    x = prob.node_project(i, (2.0 * w * a - sub.linear) / denom)
+    star = (scaled_target - sub.linear) / denom
+    x = prob.node_project(i, star)
     if counters is not None:
         counters.flops += 6 * prob.dim
-    # Exact minimizer; the safeguard can still matter at the
-    # boundary of floating point so keep it.
-    if _no_worse(sub, x, warm_start):
+    d, e = x - star, warm_start - star
+    if d.dot(d) < e.dot(e):
         return x
     return np.array(warm_start, dtype=float)
 
 
 def _no_worse(sub: XSubproblem, x: np.ndarray, warm: np.ndarray) -> bool:
-    """The safeguard: whether ``x``'s block objective is no larger than the
-    warm start's. A cached ``sub.value`` is the warm start's ``f_i`` and is
-    replaced by ``f_i`` at the point the solve keeps."""
+    """The l1-logistic safeguard: whether ``x``'s block objective is no
+    larger than the warm start's. A cached ``sub.value`` is the warm
+    start's ``f_i`` and is replaced by ``f_i`` at the point the solve
+    keeps."""
     prob, i, linear, q = sub.problem, sub.node, sub.linear, sub.quad_weight
     f_x = prob.node_value(i, x)
     f_warm = sub.value
@@ -141,7 +153,7 @@ def _bind_composite(sub: XSubproblem) -> tuple:
     # per binding the step-scaled design
     iter_flops = prob.subgrad_flops(i) + 8 * dim
     return (q, expit, neg, fused, fused[:, -1], np.array(-step), work,
-            work[:samples], work[samples:-1], step,
+            work[:samples], work[samples:-1],
             (np.array(threshold), np.array(-threshold)), np.array(momentum),
             iter_flops, prob.value_flops(i), design_t.size)
 
@@ -173,7 +185,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     binding = loop is None or loop[0] != sub.quad_weight
     if binding:
         loop = sub.loop = _bind_composite(sub)
-    (_, expit, neg, fused, last, neg_step, work, sigma, y, step, threshold,
+    (_, expit, neg, fused, last, neg_step, work, sigma, y, threshold,
      momentum, iter_flops, value_flops, bind_flops) = loop
     np.multiply(sub.linear, neg_step, out=last)
     prox = prob.node_prox
@@ -183,7 +195,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     x = x0
     for iters in range(1, inner_budget + 1):  # solve_x_block checks >= 1
         expit(neg.dot(y), out=sigma)
-        x_new = prox(i, fused.dot(work), step, threshold)
+        x_new = prox(i, fused.dot(work), threshold)
         d = x_new - x
         x = x_new
         if math.sqrt(d.dot(d)) <= tol:
@@ -244,7 +256,7 @@ def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,
     over the node's set; same solver and safeguard as
     :func:`solve_x_block`. ``sub``, when given, is this node's block from
     earlier solves: this solve sets its linear term and quadratic weight
-    and reuses and updates its cached ``value`` and bound loop data."""
+    and reuses what the block caches (see :class:`XSubproblem`)."""
     linear, quad = lam_bar - rho * x_bar, rho * float(degree)
     if sub is None:
         sub = XSubproblem(problem, node, linear, quad)

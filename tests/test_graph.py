@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algossip import graph
 from algossip.errors import ConnectivityFailure, DomainError
 from algossip.events import sample_mg_event
 from algossip.graph import (FailureModel, Supergraph, build_geometric,
@@ -60,9 +61,10 @@ class TestSupergraph:
         assert a.edges == b.edges
         np.testing.assert_array_equal(a.positions, b.positions)
 
-    def test_connectivity_failure_when_radius_too_small(self):
-        with pytest.raises(ConnectivityFailure):
-            build_geometric(30, 0.01, seed=0, max_retries=20)
+    def test_connectivity_failure_when_radius_too_small(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_CONNECT_RETRIES", 20)
+        with pytest.raises(ConnectivityFailure, match="after 20 attempts"):
+            build_geometric(30, 0.01, seed=0)
 
     def test_rejects_self_edges_and_duplicates(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,12 +21,17 @@ DESK_LOGREG_FSTAR = 13.852393714373704
 
 
 def gen_logreg(n_nodes, dim, samples_per_node, noise_var, seed,
-               sparsity=0.6, ref_budget=20000, w_true=None, v_true=None):
+               ref_budget=20000):
     """A synthetic sparse-classification instance: the harness's
     ``draw_logreg`` then ``fit_logreg``, without its one-class check."""
     return fit_logreg(*draw_logreg(n_nodes, dim, samples_per_node,
-                                   noise_var, seed, sparsity, w_true,
-                                   v_true), ref_budget)
+                                   noise_var, seed), ref_budget)
+
+
+def prox_threshold(inst, step):
+    """``node_prox``'s threshold pair ``(t, -t)`` for a prox step."""
+    t = step * inst.lam_reg / inst.n_nodes
+    return t, -t
 
 
 def global_value(inst, x):
@@ -171,9 +177,19 @@ class TestLogRegInstance:
 
 
 class TestGenLogReg:
+    @staticmethod
+    def constant_score_seed(n_nodes, dim, samples):
+        """The first seed whose true weights are all zero and whose offset
+        is positive, so that without noise every score is that offset."""
+        for seed in itertools.count():
+            meta = draw_logreg(n_nodes, dim, samples, 0.0, seed)[3]
+            if not any(meta["w_true"]) and meta["v_true"] > 0:
+                return seed
+
     def test_constant_positive_score_gives_all_positive_labels(self):
-        inst = gen_logreg(3, 4, 5, noise_var=0.0, seed=0,
-                          w_true=np.zeros(4), v_true=1.0)
+        seed = self.constant_score_seed(3, 4, 5)
+        inst = gen_logreg(3, 4, 5, noise_var=0.0, seed=seed)
+        assert inst.meta["w_true"] == [0.0] * 4 and inst.meta["v_true"] > 0
         assert np.all(inst.labels == 1.0)
 
     @pytest.mark.parametrize("noise_var", [-0.1, math.nan, math.inf])
@@ -404,7 +420,8 @@ class TestLogRegCallbacksBitForBit:
              textbook_subgradient(SPARSE, i, every_node[i])),
             (SPARSE.node_project(i, x), textbook_project(SPARSE, i, x)),
             # node_prox writes the array it is given: hand it a copy
-            (SPARSE.node_prox(i, np.array(u, dtype=float), step),
+            (SPARSE.node_prox(i, np.array(u, dtype=float),
+                              prox_threshold(SPARSE, step)),
              textbook_prox(SPARSE, i, u, step)),
         ]
         for got, want in pairs:
@@ -423,11 +440,11 @@ class TestLogRegCallbacksBitForBit:
         SPARSE.node_value(i, x)
         assert same_bits(x, before)
         # the prox works in place: it writes the array it is given and
-        # returns it, whether it computes the threshold or is given it
-        thr = step * SPARSE.lam_reg / SPARSE.n_nodes
-        for threshold in (None, (np.array(thr), np.array(-thr))):
+        # returns it, whether the threshold pair is floats or 0-d arrays
+        thr, neg_thr = prox_threshold(SPARSE, step)
+        for threshold in ((thr, neg_thr), (np.array(thr), np.array(neg_thr))):
             v = u.copy()
-            assert SPARSE.node_prox(i, v, step, threshold) is v
+            assert SPARSE.node_prox(i, v, threshold) is v
             assert same_bits(v, textbook_prox(SPARSE, i, u, step))
 
 

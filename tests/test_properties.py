@@ -429,8 +429,9 @@ def test_running_stop_count_matches_the_lists(graph, variant, kind, seed,
 def solved_blocks(state):
     """Wrap the node solvers that the kernel calls through ``algo``.
     Yields the node blocks (``XSubproblem``) the solves were given, by
-    node; before each solve, the block's cached ``f_i`` must be that of
-    the warm start, the node's current estimate."""
+    node; before each solve, an l1-logistic block's cached ``f_i`` must be
+    that of the warm start, the node's current estimate, and a quadratic
+    block must cache none."""
     blocks = {}
     originals = {name: getattr(algo, name)
                  for name in ("solve_x_block", "solve_bg_block")}
@@ -456,6 +457,9 @@ def solved_blocks(state):
 
 
 def assert_cached(state, sub):
+    if state.problem.quadratic:
+        assert sub.value is None  # the closed form reads no f_i
+        return
     i = sub.node
     want = state.problem.node_value(i, state.x[i])
     assert np.float64(sub.value).tobytes() == np.float64(want).tobytes()
@@ -467,9 +471,10 @@ def assert_cached(state, sub):
        p=st.floats(0.3, 1.0))
 def test_cached_node_values_follow_the_estimates(graph, variant, kind, seed,
                                                  rho, p):
-    """Each node block's cached f_i equals ``node_value(i, x[i])`` bit for
-    bit after every event, and estimates written between slots are picked
-    up at the next slot start."""
+    """Each l1-logistic node block's cached f_i equals ``node_value(i,
+    x[i])`` bit for bit after every event, and estimates written between
+    slots are picked up at the next slot start; quadratic blocks cache no
+    f_i."""
     inst = dirty_instance(kind, graph, seed)
     failures = failures_for(variant, graph, p)
     dist = event_distribution(graph, failures, variant)

@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from algossip.algo import PenaltySchedule, Variant, run_outer
@@ -11,7 +14,8 @@ from algossip.graph import build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 from algossip.subsolve import (XSubproblem, solve_bg_block, solve_x_block,
                                y_closed_form_peredge)
-from test_problem import gen_logreg, node_feasible, textbook_smooth_gradient
+from test_problem import (gen_logreg, node_feasible, prox_threshold,
+                          textbook_smooth_gradient)
 
 
 def block_objective(sub, x):
@@ -232,6 +236,48 @@ def check_safeguarded(prob, sub, x, warm, kept):
     assert block_objective(sub, x) <= block_objective(sub, warm)
 
 
+def exact_quad_block_value(prob, sub, x):
+    """The quadratic node block's objective ``w||x - a||^2 + c^T x +
+    (q/2)||x||^2`` at ``x``, in exact rational arithmetic."""
+    w, a = prob.quad_coeff(sub.node)
+    q = Fraction(sub.quad_weight)
+    total = Fraction(0)
+    for x_k, a_k, c_k in zip(x.tolist(), a.tolist(), sub.linear.tolist()):
+        x_k = Fraction(x_k)
+        total += (Fraction(w) * (x_k - Fraction(a_k)) ** 2
+                  + Fraction(c_k) * x_k + q / 2 * x_k ** 2)
+    return total
+
+
+FINITE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def quad_blocks(draw):
+    """A one-node quadratic block, with or without a box, and a warm start
+    at a relative distance of 1e-9 to 1e3 from the projected closed form
+    (near it, objective values differ far below their rounding). A warm
+    start within the rounding of the closed form is not drawn: there the
+    computed minimizer may be worse by that rounding (see CHANGES.md)."""
+    dim = draw(st.integers(1, 3))
+    vec = st.lists(FINITE, min_size=dim, max_size=dim).map(np.array)
+    target, linear = draw(vec), draw(vec)
+    lo = hi = None
+    if draw(st.booleans()):
+        lo = draw(vec)
+        hi = lo + np.abs(draw(vec))
+    prob = QuadConsensusInstance([target], lo=lo, hi=hi,
+                                 weights=[draw(st.floats(1e-3, 10.0))])
+    sub = XSubproblem(prob, 0, linear, draw(st.floats(0.0, 10.0)))
+    w, a = prob.quad_coeff(0)
+    star = prob.node_project(0, (2.0 * w * a - linear)
+                             / (2.0 * w + sub.quad_weight))
+    step = draw(vec)
+    assume(np.linalg.norm(step) > 0)
+    size = 10.0 ** draw(st.floats(-9.0, 3.0)) * (1.0 + np.abs(star).max())
+    return prob, sub, star + step * (size / np.linalg.norm(step))
+
+
 class TestSolveXBlock:
     def test_unconstrained_stationary_point(self):
         # f(x) = (x-1)^2 with linear -2x and (2/2) x^2: stationarity 4x = 4
@@ -326,7 +372,8 @@ class TestSolveXBlock:
             step = 1.0 / (prob.node_smooth_lipschitz(0) + q)
             grad = textbook_smooth_gradient(prob, 0, x) + c + q * x
             np.testing.assert_allclose(
-                prob.node_prox(0, x - step * grad, step), x, atol=1e-9)
+                prob.node_prox(0, x - step * grad,
+                               prox_threshold(prob, step)), x, atol=1e-9)
 
     def test_strongly_convex_blocks_converge_at_the_vfista_rate(self):
         # Random blocks on the two desk instances' nodes, cold started at
@@ -425,6 +472,51 @@ class TestSolveXBlock:
                                k_inner=20, seed=0)
         assert state.x.tolist() == [[0.5]]  # the projected zero start
         assert log.rows[-1].k == 60 and log.rows[-1].flops == 0
+
+    def test_near_minimizer_warm_starts_keep_the_closed_form(self):
+        # Targets of size 1e3 and warm starts about 1e-7 from the closed
+        # form: the two block objectives, near 1e6, differ by about 1e-14,
+        # far below their rounding, so a safeguard that compares them
+        # rejects hundreds of these exact minimizers
+        rng = np.random.default_rng(0)
+        n, dim = 2000, 3
+        prob = QuadConsensusInstance(rng.uniform(-1e3, 1e3, size=(n, dim)),
+                                     weights=rng.uniform(0.5, 2.0, size=n))
+        missed = []
+        for i in range(n):
+            c = rng.normal(size=dim)
+            q = float(rng.uniform(0.5, 4.0))
+            w, a = prob.quad_coeff(i)
+            star = (2.0 * w * a - c) / (2.0 * w + q)
+            warm = star + 1e-7 * rng.normal(size=dim)
+            x = solve_x_block(XSubproblem(prob, i, c, q), warm_start=warm)
+            if x.tobytes() != star.tobytes():
+                missed.append(float(np.linalg.norm(warm - star)))
+        assert not missed, (len(missed), max(missed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=quad_blocks())
+    def test_quadratic_solve_is_no_worse_in_exact_arithmetic(self, case):
+        prob, sub, warm = case
+        kept = warm.copy()
+        x = solve_x_block(sub, warm_start=warm)
+        np.testing.assert_array_equal(warm, kept)
+        assert not np.shares_memory(x, warm)
+        assert node_feasible(prob, 0, x) or x.tobytes() == warm.tobytes()
+        assert (exact_quad_block_value(prob, sub, x)
+                <= exact_quad_block_value(prob, sub, warm))
+
+    def test_nan_linear_term_returns_the_warm_start(self):
+        prob = QuadConsensusInstance([[1.0, -2.0]], lo=[[-1.0, -1.0]],
+                                     hi=[[1.0, 1.0]])
+        warm = np.array([0.25, -0.5])
+        for linear in ([np.nan, 0.0], [np.nan, np.nan]):
+            sub = XSubproblem(prob, 0, np.array(linear), 2.0)
+            with np.errstate(invalid="ignore"):
+                x = solve_x_block(sub, warm_start=warm)
+            assert x.tolist() == [0.25, -0.5]
+            assert not np.shares_memory(x, warm)
+        assert sub.value is None
 
     def test_optimal_warm_start_returned_unchanged(self):
         prob = scalar_quad(1.0)
