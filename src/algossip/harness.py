@@ -11,12 +11,14 @@ final-state dump.
 from __future__ import annotations
 
 import configparser
+import ctypes
 import hashlib
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -322,6 +324,46 @@ def manifest_hash(sections: dict, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def openblas_core() -> str:
+    """The name of the kernel that numpy's bundled OpenBLAS runs in this
+    process; ``RuntimeError`` naming numpy's BLAS when there is none."""
+    here = Path(np.__file__).resolve().parent
+    for lib in sorted(here.parent.glob("numpy.libs/*openblas*")) + \
+            sorted(here.glob(".dylibs/*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {})
+    raise RuntimeError(f"the golden pins need numpy's bundled OpenBLAS; "
+                       f"numpy {np.__version__} uses "
+                       f"{blas.get('name', 'an unknown BLAS')} "
+                       f"{blas.get('version', '')}".rstrip())
+
+
+def simd_targets() -> list[str]:
+    """numpy's SIMD targets in this process: its baseline, then the
+    dispatch targets it runs (those the CPU has and
+    ``NPY_DISABLE_CPU_FEATURES`` leaves on). ``np.tanh`` and ``np.exp``
+    round differently on different targets."""
+    simd = getattr(np.__config__, "CONFIG", {}).get("SIMD Extensions", {})
+    return list(simd.get("baseline", [])) + list(simd.get("found", []))
+
+
+def numerics() -> dict:
+    """What a run's last bits depend on besides its config and seed: the
+    numpy version, its SIMD targets and the OpenBLAS kernel (``None``
+    without numpy's bundled OpenBLAS)."""
+    try:
+        core = openblas_core()
+    except RuntimeError:
+        core = None
+    return {"numpy": np.__version__, "simd": simd_targets(),
+            "openblas_core": core}
+
+
 class OracleCache:
     """Reference-value store keyed by instance hash. Writes replace the
     file whole; an unreadable file is ignored with a warning."""
@@ -452,6 +494,8 @@ def _run_built(spec: RunSpec, built, run_seed: int, out_dir: str | None,
         "instance_hash": inst_key,
         "fstar": fstar,
         "manifest_hash": manifest_hash(spec.sections, run_seed),
+        # where the last bits were computed; not part of manifest_hash
+        "numerics": numerics(),
     }
     if counters is not None:
         # block minimizations skipped because the block was clean; not

@@ -13,12 +13,15 @@ CHANGES.md.
 
 Each OpenBLAS kernel rounds products differently, so the configs run in a
 child process with ``OPENBLAS_CORETYPE`` set to a kernel that every x86-64
-CPU runs. The child first reports the kernel it got; ``openblas_core.txt``
-records the one the pins were made under. A numpy without its bundled
-OpenBLAS fails here with the name of its BLAS, not with a byte diff.
+CPU runs. numpy's SIMD loops for ``tanh``, ``exp`` and ``log1p`` round
+differently per target too, so the child also runs with every numpy
+dispatch target above the baseline disabled (``NPY_DISABLE_CPU_FEATURES``).
+The child first reports the kernel and the SIMD targets it got;
+``openblas_core.txt`` and ``numpy_simd.txt`` record the ones the pins were
+made under. A numpy without its bundled OpenBLAS fails here with the name
+of its BLAS, not with a byte diff.
 """
 
-import ctypes
 import json
 import os
 import shutil
@@ -34,6 +37,7 @@ import numpy as np
 import pytest
 
 from algossip import harness
+from algossip.harness import openblas_core, simd_targets
 from algossip.metrics import write_atomic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -41,6 +45,7 @@ CONFIGS = sorted(GOLDEN.glob("*.cfg"))
 OUTPUTS = ("_trace.csv", "_state.txt")
 SKIPPED = GOLDEN / "skipped_blocks.json"
 CORE = GOLDEN / "openblas_core.txt"
+SIMD = GOLDEN / "numpy_simd.txt"
 CORETYPE = "Prescott"  # OpenBLAS reports it as the core ``Katmai``
 
 
@@ -73,23 +78,11 @@ def describe_difference(name: str, got: bytes, want: bytes) -> str:
     return "\n".join(lines)
 
 
-def openblas_core() -> str:
-    """The name of the kernel that numpy's bundled OpenBLAS runs in this
-    process; ``RuntimeError`` naming numpy's BLAS when there is none."""
-    here = Path(np.__file__).resolve().parent
-    for lib in sorted(here.parent.glob("numpy.libs/*openblas*")) + \
-            sorted(here.glob(".dylibs/*openblas*")):
-        corename = getattr(ctypes.CDLL(str(lib)),
-                           "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    blas = getattr(np.__config__, "CONFIG", {}).get(
-        "Build Dependencies", {}).get("blas", {})
-    raise RuntimeError(f"the golden pins need numpy's bundled OpenBLAS; "
-                       f"numpy {np.__version__} uses "
-                       f"{blas.get('name', 'an unknown BLAS')} "
-                       f"{blas.get('version', '')}".rstrip())
+def dispatch_targets() -> list[str]:
+    """Every SIMD target numpy dispatches to above its baseline, whether
+    this process runs it or not."""
+    simd = np.__config__.CONFIG["SIMD Extensions"]
+    return simd.get("found", []) + simd.get("not found", [])
 
 
 def test_a_numpy_without_its_openblas_is_named(tmp_path, monkeypatch):
@@ -101,11 +94,12 @@ def test_a_numpy_without_its_openblas_is_named(tmp_path, monkeypatch):
 
 def run_under_pinned_kernel(out_dir: Path) -> dict:
     """Run every golden config into ``out_dir`` in a child process under
-    ``CORETYPE``; returns the child's kernel name and each gossip config's
-    ``skipped_blocks``, or ``{"error": ...}`` from a child without the
-    bundled OpenBLAS."""
+    ``CORETYPE`` and numpy's baseline SIMD; returns the child's kernel
+    name, SIMD targets and each gossip config's ``skipped_blocks``, or
+    ``{"error": ...}`` from a child without the bundled OpenBLAS."""
     env = dict(os.environ, OPENBLAS_CORETYPE=CORETYPE,
-               OPENBLAS_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1",
+               NPY_DISABLE_CPU_FEATURES=" ".join(dispatch_targets()))
     done = subprocess.run([sys.executable, str(Path(__file__).resolve()),
                            "--into", str(out_dir)],
                           env=env, capture_output=True, text=True)
@@ -127,6 +121,10 @@ def test_run_reproduces_pinned_bytes(cfg, pinned_run):
     assert report["core"] == pinned_core, (
         f"OPENBLAS_CORETYPE={CORETYPE} ran the OpenBLAS kernel "
         f"{report['core']}, but the pins were made under {pinned_core}")
+    pinned_simd = SIMD.read_text().split()
+    assert report["simd"] == pinned_simd, (
+        f"the child ran numpy's SIMD targets {report['simd']}, but the pins "
+        f"were made under {pinned_simd}")
     for suffix in OUTPUTS:
         name = cfg.stem + suffix
         got = (out / name).read_bytes()
@@ -139,7 +137,8 @@ def test_run_reproduces_pinned_bytes(cfg, pinned_run):
 def regenerate(out_dir: Path) -> None:
     """Rerun every golden config into ``out_dir`` under the pinned kernel,
     copy the pinned outputs back next to their configs and rewrite
-    ``skipped_blocks.json`` and ``openblas_core.txt``."""
+    ``skipped_blocks.json``, ``openblas_core.txt`` and
+    ``numpy_simd.txt``."""
     report = run_under_pinned_kernel(out_dir)
     if "error" in report:
         sys.exit(report["error"])
@@ -150,13 +149,15 @@ def regenerate(out_dir: Path) -> None:
     write_atomic(SKIPPED, lambda fh: fh.write(
         json.dumps(report["skipped"], indent=1, sort_keys=True) + "\n"))
     write_atomic(CORE, lambda fh: fh.write(report["core"] + "\n"))
+    write_atomic(SIMD, lambda fh: fh.write(" ".join(report["simd"]) + "\n"))
 
 
 def child(out_dir: Path) -> None:
     """The child of :func:`run_under_pinned_kernel`: runs the configs and
     prints its report as JSON."""
     try:
-        report = {"core": openblas_core(), "skipped": {}}
+        report = {"core": openblas_core(), "simd": simd_targets(),
+                  "skipped": {}}
     except RuntimeError as exc:
         print(json.dumps({"error": str(exc)}))
         return

@@ -137,6 +137,18 @@ class TestRun:
         assert (out / "run_state.txt").exists()
         assert res.log.rows[-1].err_f < 1e-3
 
+    def test_manifest_records_numerics_outside_its_hash(self, tmp_path):
+        out = tmp_path / "out"
+        res = harness.run(write_config(tmp_path), out_dir=str(out))
+        numerics = res.manifest["numerics"]
+        assert numerics == harness.numerics()
+        assert numerics["numpy"] == np.__version__
+        assert numerics["simd"] == harness.simd_targets()
+        with open(out / "run_manifest.json") as fh:
+            assert json.load(fh)["numerics"] == numerics
+        assert res.manifest["manifest_hash"] == harness.manifest_hash(
+            res.manifest["config"], res.manifest["seed"])
+
     def test_zero_outer_slots_gives_header_plus_initial_row(self, tmp_path):
         out = tmp_path / "out"
         harness.run(write_config(tmp_path, t_outer=0), out_dir=str(out))
