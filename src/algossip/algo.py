@@ -24,7 +24,7 @@ from .events import (Event, EventDistribution, EventKind, UniformStream,
                      sample_mg_event)
 from .graph import FailureModel, Supergraph
 from .metrics import MetricsLog, MetricsRow
-from .problem import ProblemInstance, err_f
+from .problem import ProblemInstance, err_f, row_dots
 from .subsolve import XSubproblem, solve_bg_block, solve_x_block, \
     y_closed_form_peredge
 
@@ -185,20 +185,26 @@ class ALGState:
 
     def lagrangian(self, pen) -> float:
         """Augmented Lagrangian of the cloned formulation (node, link, and
-        tie terms; the orientation sign assigns + to the smaller node id),
-        accumulated arc by arc: a vectorized sum rounds differently."""
+        tie terms; the orientation sign assigns + to the smaller node id).
+        The terms are computed for all nodes, arcs and edges at once and
+        accumulated one by one in node, arc and edge order: a vectorized
+        sum rounds differently."""
         g, x, y, mu, lam = self.graph, self.x, self.y, self.mu, self.lam
         rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
-        total = sum(self.problem.node_value(i, x[i]) for i in range(g.n))
-        for a, i in enumerate(g.arc_src.tolist()):
-            diff = x[i] - y[a]
-            total += float(mu[a] @ diff)
-            total += 0.5 * rho_mu[a] * float(diff @ diff)
+        diff = x[g.arc_src] - y
         fwd = g.edge_fwd
-        for a, b in zip(fwd.tolist(), g.arc_rev[fwd].tolist()):
-            total += float(lam[a] @ y[a]) - float(lam[b] @ y[b])
-            gap = y[a] - y[b]
-            total += 0.5 * rho_lam[a] * float(gap @ gap)
+        rev = g.arc_rev[fwd]
+        lam_y = row_dots(lam, y).tolist()
+        total = sum(self.problem.node_values(x).tolist())
+        for a, (mu_diff, sq) in enumerate(zip(
+                row_dots(mu, diff, fresh=True).tolist(),
+                row_dots(diff, fresh=True).tolist())):
+            total += mu_diff
+            total += 0.5 * rho_mu[a] * sq
+        for a, b, sq in zip(fwd.tolist(), rev.tolist(),
+                            row_dots(y[fwd] - y[rev], fresh=True).tolist()):
+            total += lam_y[a] - lam_y[b]
+            total += 0.5 * rho_lam[a] * sq
         return float(total)
 
 
@@ -237,13 +243,13 @@ class ALBGState:
         """Augmented Lagrangian of the direct consensus formulation; the
         edge dual terms aggregate exactly into one inner product per
         node."""
-        x, rho = self.x, float(rho)
-        total = sum(self.problem.node_value(i, x[i])
-                    for i in range(self.graph.n))
+        g, x, rho = self.graph, self.x, float(rho)
+        fwd = g.edge_fwd
+        total = sum(self.problem.node_values(x).tolist())
         total += float((self.lam_bar * x).sum())
-        for (i, j) in self.graph.edges:
-            diff = x[i] - x[j]
-            total += 0.5 * rho * float(diff @ diff)
+        for sq in row_dots(x[g.arc_src[fwd]] - x[g.arc_dst[fwd]],
+                           fresh=True).tolist():
+            total += 0.5 * rho * sq
         return float(total)
 
 

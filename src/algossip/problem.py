@@ -28,16 +28,30 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _row_dots(D: np.ndarray) -> np.ndarray:
-    """``d @ d`` for every row ``d`` along the last axis of ``D``.
+def row_dots(A: np.ndarray, B: np.ndarray | None = None,
+             fresh: bool = False) -> np.ndarray:
+    """``a @ b`` for every pair of rows along the last axis of ``A`` and
+    ``B`` (``B`` defaults to ``A``).
 
     A stacked (1 x m) @ (m x 1) matmul makes the same BLAS dot call per row
-    as ``d @ d`` or ``d.dot(d)`` on a contiguous 1-D row, so every entry has
-    the same bits; a reduction such as ``(D * D).sum(-1)`` may round
-    differently, and so does the BLAS dot of a strided row.
+    as ``a @ b`` or ``a.dot(b)`` on contiguous 1-D rows at the same
+    addresses, so every entry has the same bits; a reduction such as
+    ``(A * B).sum(-1)`` may round differently, and so does the BLAS dot of
+    a strided row. Some OpenBLAS dot kernels (the SSE2 one that every x86-64
+    CPU runs) also round by the alignment of their second operand, so with
+    ``fresh`` the rows of ``B`` (of ``A`` when ``B`` is None) are first
+    copied to 16-byte boundaries, where a freshly computed 1-D array starts:
+    the entries then have the bits of ``a @ b`` for a fresh ``b``.
     """
-    D = np.ascontiguousarray(D)
-    return np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0]
+    A = np.ascontiguousarray(A)
+    B = A if B is None else np.ascontiguousarray(B)
+    if fresh:
+        m = B.shape[-1]
+        rows = np.empty(B.shape[:-1] + (m + m % 2,))[..., :m]
+        rows[...] = B
+        A = rows if A is B else A
+        B = rows
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
 
 
 class ProblemInstance(abc.ABC):
@@ -61,14 +75,15 @@ class ProblemInstance(abc.ABC):
     * ``values(X)``: the ``(n_nodes, len(X))`` matrix of ``f_i(X[j])``;
     * ``set_distances(X)``: the ``(n_nodes, len(X))`` matrix of
       ``||P_i(X[j]) - X[j]||``, the distance of every row to every node set;
-    * ``subgradients(X)`` and ``project(X)``: ``len(X) == n_nodes`` and row
-      ``i`` is evaluated at node ``i``, in fresh arrays.
+    * ``node_values(X)``, ``subgradients(X)`` and ``project(X)``:
+      ``len(X) == n_nodes`` and row ``i`` is evaluated at node ``i``, in
+      fresh arrays.
 
-    Each entry of ``values``, ``set_distances`` and ``project`` must equal
-    ``node_value``, ``np.linalg.norm`` of the ``node_project`` step and
-    ``node_project`` bit for bit, and each row of ``subgradients`` the
-    textbook subgradient of its family, so that a seeded trace does not
-    depend on which form computed it.
+    Each entry of ``values``, ``node_values``, ``set_distances`` and
+    ``project`` must equal ``node_value``, ``np.linalg.norm`` of the
+    ``node_project`` step and ``node_project`` bit for bit, and each row of
+    ``subgradients`` the textbook subgradient of its family, so that a
+    seeded trace does not depend on which form computed it.
     """
 
     dim: int
@@ -86,6 +101,10 @@ class ProblemInstance(abc.ABC):
     @abc.abstractmethod
     def values(self, X: np.ndarray) -> np.ndarray:
         """The matrix of f_i at every row of X, one row per node."""
+
+    @abc.abstractmethod
+    def node_values(self, X: np.ndarray) -> np.ndarray:
+        """Entry i: f_i(X[i])."""
 
     @abc.abstractmethod
     def set_distances(self, X: np.ndarray) -> np.ndarray:
@@ -146,14 +165,17 @@ class QuadConsensusInstance(ProblemInstance):
         return np.clip(x, self.lo[i], self.hi[i])
 
     def values(self, X):
-        return self.weights[:, None] * _row_dots(X - self.targets[:, None])
+        return self.weights[:, None] * row_dots(X - self.targets[:, None])
+
+    def node_values(self, X):
+        return self.weights * row_dots(X - self.targets, fresh=True)
 
     def set_distances(self, X):
         if self.lo is None:
             proj = np.broadcast_to(X, (self.n_nodes, *X.shape))
         else:
             proj = np.clip(X, self.lo[:, None], self.hi[:, None])
-        return np.sqrt(_row_dots(proj - X))
+        return np.sqrt(row_dots(proj - X))
 
     def subgradients(self, X):
         return (2.0 * self.weights)[:, None] * (X - self.targets)
@@ -270,10 +292,15 @@ class LogRegInstance(ProblemInstance):
         loss = np.add.reduce(np.logaddexp(0.0, u), axis=-1)
         return loss + self._l1 * np.add.reduce(np.abs(X[:, :-1]), axis=-1)
 
+    def node_values(self, X):
+        u = np.matmul(self._negs, X[:, :, None])[..., 0]
+        loss = np.add.reduce(np.logaddexp(0.0, u), axis=-1)
+        return loss + self._l1 * np.add.reduce(np.abs(X[:, :-1]), axis=-1)
+
     def set_distances(self, X):
         proj = np.repeat(X[None], self.n_nodes, axis=0)
         _project_rows(proj, self.ball_sq[:, None], self.v_bound[:, None])
-        return np.sqrt(_row_dots(proj - X))
+        return np.sqrt(row_dots(proj - X))
 
     def subgradients(self, X):
         u = np.matmul(self._negs, X[:, :, None])
@@ -355,7 +382,7 @@ def _project_rows(out, ball_sq, v_bound):
     with one squared ball radius and one offset bound per row, broadcast
     over ``out.shape[:-1]``."""
     w = out[..., :-1]
-    nrm_sq = _row_dots(w)
+    nrm_sq = row_dots(w)
     big = nrm_sq > ball_sq
     if big.any():
         ball = np.broadcast_to(ball_sq, big.shape)[big]

@@ -12,7 +12,7 @@ from algossip.errors import ConfigError, DomainError, KindError, \
     NumericError
 from algossip.events import Event, EventKind, Variant, event_distribution
 from algossip.graph import FailureModel, Supergraph
-from algossip.problem import QuadConsensusInstance
+from algossip.problem import LogRegInstance, QuadConsensusInstance
 
 from test_problem import global_value
 
@@ -117,6 +117,61 @@ class TestLagrangian:
         state.x[:] = x
         state.lam_bar[:] = lam_bar
         assert lagrangian_eval(state, rho) == pytest.approx(direct)
+
+
+def term_by_term_lagrangian(state, pen):
+    """The augmented Lagrangian summed one node, arc and edge at a time,
+    with a fresh difference vector per term."""
+    g, x, y, mu, lam = state.graph, state.x, state.y, state.mu, state.lam
+    rho_mu, rho_lam = np.asarray(pen, dtype=float).tolist()
+    total = sum(state.problem.node_value(i, x[i]) for i in range(g.n))
+    for a, i in enumerate(g.arc_src.tolist()):
+        diff = x[i] - y[a]
+        total += float(mu[a] @ diff)
+        total += 0.5 * rho_mu[a] * float(diff @ diff)
+    fwd = g.edge_fwd
+    for a, b in zip(fwd.tolist(), g.arc_rev[fwd].tolist()):
+        total += float(lam[a] @ y[a]) - float(lam[b] @ y[b])
+        gap = y[a] - y[b]
+        total += 0.5 * rho_lam[a] * float(gap @ gap)
+    return total
+
+
+def term_by_term_bg_lagrangian(state, rho):
+    x = state.x
+    total = sum(state.problem.node_value(i, x[i])
+                for i in range(state.graph.n))
+    total += float((state.lam_bar * x).sum())
+    for (i, j) in state.graph.edges:
+        diff = x[i] - x[j]
+        total += 0.5 * rho * float(diff @ diff)
+    return total
+
+
+@pytest.mark.parametrize("family", ["quad", "logreg"])
+def test_lagrangian_has_the_bits_of_the_term_by_term_sum(family,
+                                                         ring4_graph):
+    # dim 3: the rows of the stacked arrays alternate between 8- and
+    # 16-byte alignment, which some OpenBLAS dot kernels round by
+    rng = np.random.default_rng(11)
+    if family == "quad":
+        inst = QuadConsensusInstance(rng.normal(size=(4, 3)))
+    else:
+        inst = LogRegInstance(rng.normal(size=(4, 5, 2)),
+                              rng.choice([-1.0, 1.0], size=(4, 5)), 0.3,
+                              ball_sq=np.full(4, 4.0), v_bound=np.ones(4))
+    for scale in (1e-3, 1.0, 1e2) * 10:
+        state = ALGState(inst, ring4_graph)
+        for arr in (state.x, state.y, state.mu, state.lam):
+            arr[:] = rng.normal(size=arr.shape) * scale
+        pen = rng.uniform(0.1, 10.0, size=(2, ring4_graph.num_arcs))
+        assert lagrangian_eval(state, pen) == \
+            term_by_term_lagrangian(state, pen)
+        bg = ALBGState(inst, ring4_graph)
+        bg.x[:] = state.x
+        bg.lam_bar[:] = state.mu[:4]
+        assert lagrangian_eval(bg, 1.7) == \
+            term_by_term_bg_lagrangian(bg, 1.7)
 
 
 class TestInnerStepALG:

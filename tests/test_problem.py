@@ -542,11 +542,13 @@ class TestWholeNetworkCallbacks:
                     inst.node_project(i, x) - x))
         X = data.draw(network_points(inst, rows=inst.n_nodes))
         before = X.copy()
+        node_values = inst.node_values(X)
         subgradients, projections = inst.subgradients(X), inst.project(X)
         assert same_bits(X, before)
-        for out in (subgradients, projections):
+        for out in (node_values, subgradients, projections):
             assert not np.shares_memory(out, X)
         for i, x in enumerate(X):
+            assert same_bits(node_values[i], inst.node_value(i, x))
             assert same_bits(subgradients[i],
                              textbook_subgradient(inst, i, x))
             assert same_bits(projections[i], inst.node_project(i, x))
