@@ -8,10 +8,15 @@ l1-regularized logistic-regression instance (stacked weight/offset variable,
 ball and interval constraints) and a quadratic-consensus instance whose
 optimum is available in closed form, used as the desk-scale oracle.
 
-Only the logistic family needs scipy (its sigmoid, ``scipy.special.expit``),
-so scipy is imported where a logistic instance is built or solved, not
-here: importing the package, a quadratic run and a rejected config load
-numpy alone.
+The logistic family's sigmoid is ``sigma(z) = 1/2 + tanh(z/2)/2``
+(:func:`sigmoid`), which numpy computes with one ``np.tanh`` call and
+which is within 2.22e-16 of the exact value everywhere (so its relative
+error grows where ``sigma`` is tiny). Every hot caller folds the halving
+and the 1/2 offset into arrays it binds once, so each sigmoid stays one
+``np.tanh`` call: the smooth gradient ``-D^T sigma(-D x)`` of a signed
+design ``D`` is ``-D^T 1/2 - (D^T/2) tanh((-D/2) x)``. Only this module
+knows the identity; :meth:`LogRegInstance.node_design` hands the node
+solver ``-D_i/2``, ``D_i^T/2`` and ``D_i^T 1/2``.
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ def row_dots(A: np.ndarray, B: np.ndarray | None = None,
         A = rows if A is B else A
         B = rows
     return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
+
+
+def sigmoid(z):
+    """The logistic function ``1/(1 + exp(-z))`` as ``1/2 + tanh(z/2)/2``,
+    within 2.22e-16 of it in absolute terms."""
+    return 0.5 + 0.5 * np.tanh(0.5 * z)
 
 
 class ProblemInstance(abc.ABC):
@@ -228,8 +239,6 @@ class LogRegInstance(ProblemInstance):
     """
 
     def __init__(self, features, labels, lam_reg, ball_sq, v_bound, meta=None):
-        from scipy.special import expit
-
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=float)
         if features.ndim != 3:
@@ -260,23 +269,27 @@ class LogRegInstance(ProblemInstance):
         # where numpy's per-call overhead, not arithmetic, is the cost; they
         # use the cheapest form that gives the same bits as the plain
         # formulas (tests/test_problem.py holds those as references).
-        # Negating the design is exact, and round-to-nearest is symmetric
-        # under negation, so -D_i @ x equals -(D_i @ x) up to the sign of an
-        # exact zero, which expit and logaddexp ignore. The gradient keeps
-        # its final negation: there the sign of a zero would show.
-        # ndarray.dot skips np.dot's dispatch, Python floats skip numpy
-        # scalars, and zero arrays skip converting a 0.0 operand per call.
-        # The whole-network callbacks make the same BLAS calls on the same
-        # memory through stacked matmuls.
+        # Negating and halving the design are exact, and round-to-nearest
+        # is symmetric under negation, so -D_i @ x equals -(D_i @ x) up to
+        # the sign of an exact zero, which logaddexp ignores. The gradient
+        # -D^T 1/2 - (D^T/2) tanh((-D/2) x) binds the halved design, its
+        # transpose and the negated constant -D^T 1/2 (see the module
+        # docstring). ndarray.dot skips np.dot's dispatch, Python floats
+        # skip numpy scalars, and zero arrays skip converting a 0.0 operand
+        # per call. The whole-network callbacks make the same BLAS calls on
+        # the same memory through stacked matmuls.
         self._negs = -self._design
-        self._designs_t = self._design.transpose(0, 2, 1)
         self._neg = tuple(self._negs)
-        self._design_t = tuple(self._designs_t)
+        halfs = 0.5 * self._design
+        self._neg_halfs = -halfs
+        self._halfs_t = halfs.transpose(0, 2, 1)
+        self._half_sums = np.matmul(self._halfs_t,
+                                    np.ones((self.n_samples, 1)))[..., 0]
+        self._neg_half_sums = -self._half_sums
         self._l1 = self.lam_reg / self.n_nodes
         self._ball = self.ball_sq.tolist()
         self._vmax = self.v_bound.tolist()
         self._zero_s = np.zeros(self.n_samples)
-        self._expit = expit
 
     def node_value(self, i, x):
         loss = np.add.reduce(np.logaddexp(self._zero_s, self._neg[i].dot(x)))
@@ -303,8 +316,8 @@ class LogRegInstance(ProblemInstance):
         return np.sqrt(row_dots(proj - X))
 
     def subgradients(self, X):
-        u = np.matmul(self._negs, X[:, :, None])
-        g = -np.matmul(self._designs_t, self._expit(u))[..., 0]
+        u = np.matmul(self._neg_halfs, X[:, :, None])
+        g = self._neg_half_sums - np.matmul(self._halfs_t, np.tanh(u))[..., 0]
         g[:, :-1] += self._l1 * np.sign(X[:, :-1])
         return g
 
@@ -328,10 +341,12 @@ class LogRegInstance(ProblemInstance):
             out[-1] = -vmax
 
     def node_design(self, i):
-        """The negated design ``-D_i`` and its transpose ``D_i^T``, the
-        arrays behind ``node_value`` and the node solver's gradient: the
-        smooth part's gradient at ``x`` is ``-D_i^T expit(-D_i x)``."""
-        return self._neg[i], self._design_t[i]
+        """The arrays of the node solver's gradient: the negated half
+        design ``-D_i/2``, the half transpose ``D_i^T/2`` and the constant
+        ``D_i^T 1/2``, with which the smooth part's gradient
+        ``-D_i^T sigma(-D_i x)`` at ``x`` is ``-D_i^T 1/2 - (D_i^T/2)
+        tanh((-D_i/2) x)``."""
+        return self._neg_halfs[i], self._halfs_t[i], self._half_sums[i]
 
     def node_smooth_lipschitz(self, i):
         return float(self._lip[i])
@@ -396,21 +411,22 @@ def _prox_grad_l1_logistic(design, lam, n_w, ball_sq, v_bound,
                            max_iter, tol):
     """FISTA on ``sum log(1+exp(-design z)) + lam ||z[:n_w]||_1`` with
     optional ball/interval constraints; returns the best iterate."""
-    from scipy.special import expit
-
     dim = design.shape[1]
     lip = 0.25 * np.linalg.norm(design, 2) ** 2
     step = 1.0 / max(lip, 1e-12)
     threshold = step * lam
-    # Same calls as the node callbacks: a negated design bound once (exact,
-    # and -0.0 and 0.0 give the same expit and logaddexp), ndarray.dot,
-    # math.sqrt, float comparisons for the interval, and the iterates kept
-    # by reference (prox writes the fresh array it is given). The transpose
-    # stays a view, so its products make the same BLAS calls.
-    neg, design_t = -design, design.T
+    # Same calls as the node callbacks: the negated design and the folded
+    # sigmoid's halved arrays bound once (exact, and -0.0 and 0.0 give the
+    # same logaddexp), ndarray.dot, math.sqrt, float comparisons for the
+    # interval, and the iterates kept by reference (prox writes the fresh
+    # array it is given). The transpose stays a view, so its products make
+    # the same BLAS calls.
+    neg, half_t = -design, 0.5 * design.T
+    neg_half = -half_t.T
+    neg_half_sum = -half_t.dot(np.ones(len(design)))
 
     def smooth_grad(z):
-        return -design_t.dot(expit(neg.dot(z)))
+        return neg_half_sum - half_t.dot(np.tanh(neg_half.dot(z)))
 
     def objective(z):
         return float(np.add.reduce(np.logaddexp(0.0, neg.dot(z)))
@@ -493,8 +509,6 @@ def fit_logreg(rng: np.random.Generator, features: np.ndarray,
     """The instance on samples from :func:`draw_logreg`: half the smallest
     l1 penalty that zeroes the weights, and constraint radii inflated
     around an unconstrained reference solve, so the solution is interior."""
-    from scipy.special import expit
-
     n_nodes, samples_per_node, dim = features.shape
     # Smallest penalty that makes the weights vanish: the sup-norm of the
     # loss gradient in w at w = 0 with the intercept chosen optimally.
@@ -504,7 +518,7 @@ def fit_logreg(rng: np.random.Generator, features: np.ndarray,
         v0 = 30.0 if neg == 0 else -30.0
     else:
         v0 = float(np.log(pos / neg))
-    sig = expit(-labels * v0)
+    sig = sigmoid(-labels * v0)
     grad_w = -np.einsum("ns,nsd->d", labels * sig, features)
     lambda_max = float(np.abs(grad_w).max())
     lam_reg = 0.5 * lambda_max

@@ -120,22 +120,20 @@ def _no_worse(sub: XSubproblem, x: np.ndarray, warm: np.ndarray) -> bool:
 def _bind_composite(sub: XSubproblem) -> tuple:
     """What the l1-logistic loop reads, for the block's ``quad_weight``.
 
-    The prox-gradient point ``y - step*(grad f_i(y) + c + q*y)`` is
-    ``step*D^T expit(-D y) + (1 - step*q)*y - step*c``, one product of the
-    matrix ``[step*D^T | (1 - step*q)*I | -step*c]`` with the work vector
-    ``[expit(-D y); y; 1]``. The matrix is Fortran-ordered so that its last
-    column, the only part that depends on ``c``, is contiguous: each solve
-    rewrites it. The loop writes ``expit(-D y)`` and ``y`` into views of
-    the work vector. ``-step``, the momentum and the l1 threshold pair
-    ``(t, -t)`` for ``node_prox`` are 0-d arrays, so numpy does not convert
-    a float operand on every call. The sigmoid ``expit`` travels in the
-    tuple too: scipy is imported here, on a logistic block's first solve,
-    not when the package is.
+    With the node's half design (``-D/2``, ``D^T/2`` and ``D^T 1/2``, from
+    ``node_design``) the prox-gradient point ``y - step*(grad f_i(y) + c +
+    q*y)`` is ``step*(D^T/2) tanh((-D/2) y) + (1 - step*q)*y + step*D^T
+    1/2 - step*c``, one product of the matrix ``[step*D^T/2 | (1 -
+    step*q)*I | step*D^T 1/2 | -step*c]`` with the work vector
+    ``[tanh((-D/2) y); y; 1; 1]``. The matrix is Fortran-ordered so that
+    its last column, the only part that depends on ``c``, is contiguous:
+    each solve rewrites it. The loop writes ``tanh((-D/2) y)`` and ``y``
+    into views of the work vector. ``-step``, the momentum and the l1
+    threshold pair ``(t, -t)`` for ``node_prox`` are 0-d arrays, so numpy
+    does not convert a float operand on every call.
     """
-    from scipy.special import expit
-
     prob, i, q = sub.problem, sub.node, sub.quad_weight
-    neg, design_t = prob.node_design(i)
+    neg_half, half_t, half_sum = prob.node_design(i)
     lip_q = prob.node_smooth_lipschitz(i) + q
     step = 1.0 / max(lip_q, 1e-12)
     momentum = 0.0
@@ -143,19 +141,20 @@ def _bind_composite(sub: XSubproblem) -> tuple:
         root = math.sqrt(lip_q / q)
         momentum = 1.0 - 2.0 / (root + 1.0)  # (root - 1)/(root + 1)
     threshold = step * prob.lam_reg / prob.n_nodes
-    samples, dim = neg.shape
-    fused = np.zeros((dim, samples + dim + 1), order="F")
-    fused[:, :samples] = step * design_t
-    np.fill_diagonal(fused[:, samples:-1], 1.0 - step * q)
-    work = np.zeros(samples + dim + 1)
-    work[-1] = 1.0
+    samples, dim = neg_half.shape
+    fused = np.zeros((dim, samples + dim + 2), order="F")
+    fused[:, :samples] = step * half_t
+    np.fill_diagonal(fused[:, samples:-2], 1.0 - step * q)
+    fused[:, -2] = step * half_sum
+    work = np.zeros(samples + dim + 2)
+    work[-2:] = 1.0
     # flops: per iteration the gradient, the prox and 8*dim of vector work;
     # per binding the step-scaled design
     iter_flops = prob.subgrad_flops(i) + 8 * dim
-    return (q, expit, neg, fused, fused[:, -1], np.array(-step), work,
-            work[:samples], work[samples:-1],
+    return (q, neg_half, fused, fused[:, -1], np.array(-step), work,
+            work[:samples], work[samples:-2],
             (np.array(threshold), np.array(-threshold)), np.array(momentum),
-            iter_flops, prob.value_flops(i), design_t.size)
+            iter_flops, prob.value_flops(i), half_t.size)
 
 
 def _solve_composite(sub: XSubproblem, inner_budget: int,
@@ -185,7 +184,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     binding = loop is None or loop[0] != sub.quad_weight
     if binding:
         loop = sub.loop = _bind_composite(sub)
-    (_, expit, neg, fused, last, neg_step, work, sigma, y, threshold,
+    (_, neg_half, fused, last, neg_step, work, tanh, y, threshold,
      momentum, iter_flops, value_flops, bind_flops) = loop
     np.multiply(sub.linear, neg_step, out=last)
     prox = prob.node_prox
@@ -194,7 +193,7 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     y[...] = x0
     x = x0
     for iters in range(1, inner_budget + 1):  # solve_x_block checks >= 1
-        expit(neg.dot(y), out=sigma)
+        np.tanh(neg_half.dot(y), out=tanh)
         x_new = prox(i, fused.dot(work), threshold)
         d = x_new - x
         x = x_new

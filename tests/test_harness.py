@@ -51,24 +51,26 @@ ONE_CLASS_EDIT = ("kind = quad\nnodes = 4\ndim = 1\ntargets = 0; 1; 2; 3",
                   "samples_per_node = 4\nseed = 3")
 ONE_CLASS_CONFIG = QUAD_CONFIG.format(name="alg", t_outer=2,
                                       extra="").replace(*ONE_CLASS_EDIT)
-# Imports algossip, runs a quad config and two bad configs through the CLI,
-# then builds a logistic instance; prints whether scipy.special was loaded
-# after each step.
+# Imports algossip, runs a quad config, a logistic config and two bad
+# configs through the CLI, then builds a logistic instance; prints whether
+# scipy was loaded after each step.
 SCIPY_PROBE = """
 import sys
 import numpy as np
 
 
 def loaded():
-    return "scipy.special" in sys.modules
+    return "scipy" in sys.modules
 
 
 import algossip
 from algossip.cli import main
 steps = [loaded()]
-assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
-steps.append(loaded())
-for bad in sys.argv[3:]:
+quad, out, logistic, *bad_configs = sys.argv[1:]
+for good in (quad, logistic):
+    assert main(["run", "--config", good, "--out", out]) == 0
+    steps.append(loaded())
+for bad in bad_configs:
     assert main(["run", "--config", bad]) == 2
     steps.append(loaded())
 from algossip.problem import LogRegInstance
@@ -710,8 +712,10 @@ class TestCLI:
                            match="16 positive and 0 negative labels"):
             harness.build_problem(spec)
 
-    def test_only_the_logistic_family_loads_scipy(self, tmp_path):
+    def test_no_step_loads_scipy(self, tmp_path):
         good = write_config(tmp_path, name="alg", t_outer=2)
+        logistic = Path(__file__).parent / "golden" / \
+            "alg_adaptive_logreg.cfg"
         malformed = write_config(tmp_path, fname="malformed.cfg",
                                  body="[problem]\nkind = quad\n")
         one_class = write_config(tmp_path, fname="one_class.cfg",
@@ -720,12 +724,13 @@ class TestCLI:
                    PYTHONPATH=str(Path(harness.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-c", SCIPY_PROBE, str(good),
-             str(tmp_path / "out"), str(malformed), str(one_class)],
+             str(tmp_path / "out"), str(logistic), str(malformed),
+             str(one_class)],
             env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        # import, quad run, two config errors: no scipy; logistic: scipy
-        assert done.stdout.split("\n")[-2] == (
-            "[False, False, False, False, True]")
+        # import, quad run, logistic run, two config errors, logistic
+        # instance
+        assert done.stdout.split("\n")[-2] == str([False] * 6)
 
     def test_compare_checks_every_config_before_running_any(self, tmp_path,
                                                             capsys):

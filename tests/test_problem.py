@@ -12,7 +12,8 @@ from algossip.baseline import run_ps
 from algossip.graph import Supergraph
 from algossip.problem import (LogRegInstance, ProblemInstance,
                               QuadConsensusInstance, draw_logreg, err_f,
-                              fit_logreg, instance_text, load_instance)
+                              fit_logreg, instance_text, load_instance,
+                              sigmoid)
 
 # Frozen reference for the desk-scale classification instance
 # (5 nodes, 5 features, 5 samples/node, noise 0.1, seed 1), computed with
@@ -73,6 +74,45 @@ class TestQuadConsensus:
         inst = quad_two_nodes(lo=[[0.0], [0.0]], hi=[[1.0], [1.5]])
         assert inst.node_project(1, np.array([9.0])) == pytest.approx(1.5)
         assert inst.node_project(0, np.array([-3.0])) == pytest.approx(0.0)
+
+
+# the sigmoid's arguments: a grid over [-50, 50], the ends of exp's range,
+# huge values, the infinities and nan
+SIGMOID_GRID = np.concatenate([np.linspace(-50.0, 50.0, 20001),
+                               [-745.0, 745.0, -1e300, 1e300, -np.inf,
+                                np.inf, np.nan]])
+
+
+def assert_within_eps(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    # eps = 2.22e-16 = 2**-52, half an ulp of 1/2 plus half an ulp of 1
+    assert np.abs(got[ok] - want[ok]).max() <= np.finfo(float).eps
+
+
+class TestSigmoid:
+    def test_sigmoid_matches_scipy_expit(self):
+        assert_within_eps(sigmoid(SIGMOID_GRID),
+                                    expit(SIGMOID_GRID))
+
+    def test_folded_node_gradient_matches_scipy_expit(self):
+        # one sample per node with feature 0 and label +1: the signed
+        # design row is (0, 1) and the smooth gradient's last entry at
+        # (0, v) is -expit(-v), through the node solver's arrays and
+        # through the whole-network subgradients
+        n = len(SIGMOID_GRID)
+        inst = LogRegInstance(np.zeros((n, 1, 1)), np.ones((n, 1)), 0.0,
+                              np.ones(n), np.ones(n))
+        X = np.zeros((n, 2))
+        X[:, 1] = SIGMOID_GRID
+        folded = np.empty(n)
+        for i, x in enumerate(X):
+            neg_half, half_t, half_sum = inst.node_design(i)
+            grad = -half_sum - half_t.dot(np.tanh(neg_half.dot(x)))
+            folded[i] = -grad[1]
+        want = expit(-SIGMOID_GRID)
+        assert_within_eps(folded, want)
+        assert_within_eps(-inst.subgradients(X)[:, 1], want)
 
 
 class TestLogRegInstance:
@@ -331,8 +371,9 @@ def textbook_value(inst, i, x):
 
 
 def textbook_smooth_gradient(inst, i, x):
-    d = textbook_design(inst, i)
-    return -(d.T @ expit(-(d @ x)))
+    # -d^T sigma(-d x) with sigma(z) = 1/2 + tanh(z/2)/2
+    half = textbook_design(inst, i) / 2
+    return -(half.T @ np.ones(len(half))) - half.T @ np.tanh(-half @ x)
 
 
 def textbook_subgradient(inst, i, x):
@@ -407,14 +448,14 @@ class TestLogRegCallbacksBitForBit:
     @given(args=callback_inputs(), as_list=st.booleans())
     def test_callbacks_match_textbook_expressions(self, args, as_list):
         i, x, step, u = args
-        neg, design_t = SPARSE.node_design(i)
+        neg_half, half_t, half_sum = SPARSE.node_design(i)
         every_node = np.repeat([x], SPARSE.n_nodes, axis=0)
         if as_list:
             x, u = x.tolist(), u.tolist()
         pairs = [
             (SPARSE.node_value(i, x), textbook_value(SPARSE, i, x)),
             # the node solver's gradient of the smooth part
-            (-design_t.dot(expit(neg.dot(x))),
+            (-half_sum - half_t.dot(np.tanh(neg_half.dot(x))),
              textbook_smooth_gradient(SPARSE, i, x)),
             (SPARSE.subgradients(every_node)[i],
              textbook_subgradient(SPARSE, i, every_node[i])),
