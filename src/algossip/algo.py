@@ -8,13 +8,15 @@ variable per directed arc plus two dual vectors per arc; the multi-neighbor
 variant shares that state but broadcasts all link variables of a node at
 once; the broadcast variant (reliable links only) keeps a single aggregated
 dual per node. Per-arc state lives in ``(num_arcs, m)`` arrays indexed by
-the arc ids of :class:`~algossip.graph.Supergraph`.
+the arc ids of :class:`~algossip.graph.Supergraph`. A run chooses its
+multiplier step and penalty rule once, at its start (:func:`outer_step`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,18 +93,18 @@ class PenaltySchedule:
 
 
 def penalty_at(schedule: PenaltySchedule, t: int) -> float:
-    """Penalty value at outer slot ``t``; an adaptive schedule's penalties
-    are per dual (:func:`update_adaptive`), so it raises :class:`KindError`."""
+    """Penalty at outer slot ``t`` (``inf`` where it overflows); adaptive
+    penalties are per dual (:func:`update_adaptive`): :class:`KindError`."""
     if t < 0:
         raise DomainError(f"slot index must be nonnegative, got {t}")
     if schedule.kind == "fixed":
         return schedule.params[0]
     if schedule.kind == "power":
         exponent, offset = schedule.params
-        return float(t) ** exponent + offset
+        return np.float64(t) ** exponent + offset
     if schedule.kind == "geometric":
         coeff, base, offset = schedule.params
-        return coeff * base ** t + offset
+        return coeff * np.float64(base) ** t + offset
     raise KindError(f"unknown schedule kind {schedule.kind!r}")
 
 
@@ -303,7 +305,8 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     fixed and whose first two a delivery fills (built by
     ``y_closed_form_peredge``, which raises :class:`DomainError` on a
     non-positive penalty sum). The samplers and block solvers are looked
-    up on this module at call time.
+    up on this module when called; the dual step is bound once per run,
+    at its start (:func:`outer_step`).
     """
     counters = counters if counters is not None else Counters()
     variant = Variant(variant)
@@ -333,10 +336,9 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
             nonlocal unsettled
             i = ev.node
             x_i = x_rows[i]
-            new = solve_bg_block(problem, i, lam_bar_rows[i],
-                                 state.neighbor_sum(i), degrees[i], rho,
-                                 inner_budget, inner_tol, warm_start=x_i,
-                                 counters=counters, sub=subs[i])
+            new = solve_bg_block(subs[i], lam_bar_rows[i],
+                                 state.neighbor_sum(i), rho, inner_budget,
+                                 inner_tol, x_i, counters)
             d = new - x_i
             moved = math.sqrt(d.dot(d))
             x_i[...] = new
@@ -514,6 +516,37 @@ def lagrangian_eval(state, pen) -> float:
     return state.lagrangian(pen)
 
 
+def outer_step(state, schedule: PenaltySchedule):
+    """The run's multiplier step, chosen once from the state's variant and
+    the schedule's kind. Returns slot 0's penalties and ``step``:
+    ``step(pen)`` steps the duals at the finished slot's penalties ``pen``
+    and returns the next slot's. Every dual gets :func:`penalty_at`, or,
+    for an adaptive schedule (not albg's), ``rho0`` moved by
+    :func:`update_adaptive`. The dual steps are looked up on this module
+    here, once per run."""
+    if isinstance(state, ALBGState):
+        dual, full = dual_update_bg, float
+    else:
+        dual = dual_update_alg
+        full = partial(np.full, (2, state.graph.num_arcs))
+    if schedule.kind != "adaptive":
+        def step(pen):
+            dual(state, pen)
+            return full(penalty_at(schedule, state.t))
+        return full(penalty_at(schedule, 0)), step
+
+    kappa, sigma, rho0 = schedule.params
+    eps_prev = None
+
+    def step_adaptive(pen: np.ndarray) -> np.ndarray:
+        nonlocal eps_prev
+        eps = constraint_violations(state)  # the dual step writes no primal
+        dual(state, pen)
+        pen, eps_prev = update_adaptive(pen, eps_prev, eps, kappa, sigma), eps
+        return pen
+    return full(rho0), step_adaptive
+
+
 # --------------------------------------------------------------------------
 # Run loops
 # --------------------------------------------------------------------------
@@ -598,6 +631,9 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     is given."""
     if t_outer < 0 or k_inner < 0:
         raise ConfigError("t_outer and k_inner must be nonnegative")
+    if inner_budget < 1:
+        raise ConfigError(f"inner_budget must be at least 1, got "
+                          f"{inner_budget}")
     if checkpoint_every < 0:
         raise ConfigError(f"checkpoint_every must be nonnegative, got "
                           f"{checkpoint_every}")
@@ -614,12 +650,6 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
     state = make_state(variant, problem, graph)
     dist = event_distribution(graph, failures, variant)
     log = MetricsLog()
-
-    def penalties(t: int):
-        rho = penalty_at(schedule, t)
-        if variant is Variant.ALBG:
-            return rho
-        return np.full((2, graph.num_arcs), rho)
 
     def checkpoint(pen) -> None:
         if not np.isfinite(state.x).all():
@@ -640,31 +670,16 @@ def run_outer(problem: ProblemInstance, graph: Supergraph, variant: Variant,
             feasible=problem.all_feasible(state.x, FEAS_TOL),
         ))
 
-    adaptive = schedule.kind == "adaptive"
-    if adaptive:
-        kappa, sigma, rho0 = schedule.params
-        pen = np.full((2, graph.num_arcs), rho0)
-        eps_prev = None
-    else:
-        pen = penalties(0)
+    pen, step = outer_step(state, schedule)
     checkpoint(pen)
     for t in range(t_outer):
-        if not adaptive:
-            pen = penalties(t)
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
                   k_inner, inner_budget, inner_tol, inner_stop_tol,
                   lambda: checkpoint(pen), checkpoint_every)
         if not np.isfinite(state.x).all():
             raise NumericError(f"non-finite node estimate at the end of "
                                f"slot {t} (k={counters.k})")
-        if variant is Variant.ALBG:
-            dual_update_bg(state, pen)
-        else:
-            if adaptive:
-                eps = constraint_violations(state)
-            dual_update_alg(state, pen)
-        checkpoint(pen)
-        if adaptive:
-            pen = update_adaptive(pen, eps_prev, eps, kappa, sigma)
-            eps_prev = eps
+        next_pen = step(pen)
+        checkpoint(pen)  # the finished slot, at its own penalties
+        pen = next_pen
     return log, state

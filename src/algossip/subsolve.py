@@ -31,15 +31,13 @@ class XSubproblem:
     ||x||^2`` over the node's constraint set. ``quad_weight`` is positive
     whenever the penalty is positive and the node has a neighbor.
 
-    ``value`` is ``f_i`` at the warm start of the next solve when the
-    caller keeps it (``None``: each solve evaluates it). An l1-logistic
-    solve given a value replaces it with ``f_i`` at the point it returns,
-    so a caller that warm-starts each solve at the previous result, as the
-    slot kernel does, evaluates ``f_i`` once per solve. A quadratic solve
-    evaluates no ``f_i`` and ignores ``value``. ``loop`` holds what the
-    solver binds on its first solve of this block and reuses while
-    ``quad_weight`` stays the same: ``(q, 2w*a, 2w + q)`` for a quadratic
-    block, :func:`_bind_composite`'s tuple for an l1-logistic one."""
+    ``value`` is ``f_i`` at the warm start of the next solve. An
+    l1-logistic block must hold it, and its solve replaces it with ``f_i``
+    at the point it returns (the slot kernel warm-starts each solve at the
+    previous result). A quadratic solve ignores it. ``loop`` holds what the
+    solver binds on the block's first solve, at a ``quad_weight`` that must
+    not change after: ``(2w*a, 2w + q)`` for a quadratic block,
+    :func:`_bind_composite`'s tuple for an l1-logistic one."""
 
     problem: ProblemInstance
     node: int
@@ -49,10 +47,9 @@ class XSubproblem:
     loop: tuple | None = field(default=None, repr=False)
 
 
-def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
-                  inner_tol: float | None = None,
-                  warm_start: np.ndarray | None = None,
-                  counters=None) -> np.ndarray:
+def solve_x_block(sub: XSubproblem, inner_budget: int,
+                  inner_tol: float | None, warm_start: np.ndarray,
+                  counters) -> np.ndarray:
     """Approximately minimize the node block.
 
     Quadratic node objectives ``w||x - a||^2`` are solved exactly: the
@@ -69,30 +66,22 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
     proximal gradient with constant momentum, which the added
     ``(q/2)||x||^2`` term makes linearly convergent (see
     :func:`_solve_composite`); its result never has a larger block
-    objective than the warm start: one block objective is evaluated per
-    solve when ``sub.value`` holds the warm start's ``f_i``, two when it is
-    ``None``.
+    objective than the warm start, at one ``f_i`` evaluation per solve.
+    ``inner_budget`` is at least 1 (``run_outer`` checks it).
     """
-    if inner_budget < 1:
-        raise ValueError("inner_budget must be >= 1")
     prob, i = sub.problem, sub.node
-    if warm_start is None:
-        warm_start = prob.node_project(i, np.zeros(prob.dim))
     if not prob.quadratic:
         return _solve_composite(sub, inner_budget, inner_tol, warm_start,
                                 counters)
-    loop = sub.loop
-    if loop is None or loop[0] != sub.quad_weight:
+    if sub.loop is None:
         w, a = prob.quad_coeff(i)
-        loop = sub.loop = (sub.quad_weight, 2.0 * w * a,
-                           2.0 * w + sub.quad_weight)
-    _, scaled_target, denom = loop
+        sub.loop = (2.0 * w * a, 2.0 * w + sub.quad_weight)
+    scaled_target, denom = sub.loop
     if denom <= 0:
         return np.array(warm_start, dtype=float)
     star = (scaled_target - sub.linear) / denom
     x = prob.node_project(i, star)
-    if counters is not None:
-        counters.flops += 6 * prob.dim
+    counters.flops += 6 * prob.dim
     d, e = x - star, warm_start - star
     if d.dot(d) < e.dot(e):
         return x
@@ -101,24 +90,18 @@ def solve_x_block(sub: XSubproblem, inner_budget: int = 50,
 
 def _no_worse(sub: XSubproblem, x: np.ndarray, warm: np.ndarray) -> bool:
     """The l1-logistic safeguard: whether ``x``'s block objective is no
-    larger than the warm start's. A cached ``sub.value`` is the warm
-    start's ``f_i`` and is replaced by ``f_i`` at the point the solve
-    keeps."""
-    prob, i, linear, q = sub.problem, sub.node, sub.linear, sub.quad_weight
-    f_x = prob.node_value(i, x)
-    f_warm = sub.value
-    cached = f_warm is not None
-    if not cached:
-        f_warm = prob.node_value(i, warm)
+    larger than the warm start's. ``sub.value``, the warm start's ``f_i``,
+    is replaced by ``f_i`` at the point the solve keeps."""
+    linear, q, f_warm = sub.linear, sub.quad_weight, sub.value
+    f_x = sub.problem.node_value(sub.node, x)
     keep = _block_value(f_x, linear, q, x) <= _block_value(f_warm, linear,
                                                             q, warm)
-    if cached:
-        sub.value = f_x if keep else f_warm
+    sub.value = f_x if keep else f_warm
     return keep
 
 
 def _bind_composite(sub: XSubproblem) -> tuple:
-    """What the l1-logistic loop reads, for the block's ``quad_weight``.
+    """What the l1-logistic loop reads, at the block's ``quad_weight``.
 
     With the node's half design (``-D/2``, ``D^T/2`` and ``D^T 1/2``, from
     ``node_design``) the prox-gradient point ``y - step*(grad f_i(y) + c +
@@ -151,7 +134,7 @@ def _bind_composite(sub: XSubproblem) -> tuple:
     # flops: per iteration the gradient, the prox and 8*dim of vector work;
     # per binding the step-scaled design
     iter_flops = prob.subgrad_flops(i) + 8 * dim
-    return (q, neg_half, fused, fused[:, -1], np.array(-step), work,
+    return (neg_half, fused, fused[:, -1], np.array(-step), work,
             work[:samples], work[samples:-2],
             (np.array(threshold), np.array(-threshold)), np.array(momentum),
             iter_flops, prob.value_flops(i), half_t.size)
@@ -181,18 +164,18 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
     and the movement and momentum point, written into the work vector.
     """
     prob, i, loop = sub.problem, sub.node, sub.loop
-    binding = loop is None or loop[0] != sub.quad_weight
+    binding = loop is None
     if binding:
         loop = sub.loop = _bind_composite(sub)
-    (_, neg_half, fused, last, neg_step, work, tanh, y, threshold,
-     momentum, iter_flops, value_flops, bind_flops) = loop
+    (neg_half, fused, last, neg_step, work, tanh, y, threshold, momentum,
+     iter_flops, value_flops, bind_flops) = loop
     np.multiply(sub.linear, neg_step, out=last)
     prox = prob.node_prox
     tol = -1.0 if inner_tol is None else inner_tol  # a norm is never below
     x0 = np.array(warm_start, dtype=float)
     y[...] = x0
     x = x0
-    for iters in range(1, inner_budget + 1):  # solve_x_block checks >= 1
+    for iters in range(1, inner_budget + 1):  # run_outer checks >= 1
         np.tanh(neg_half.dot(y), out=tanh)
         x_new = prox(i, fused.dot(work), threshold)
         d = x_new - x
@@ -201,12 +184,9 @@ def _solve_composite(sub: XSubproblem, inner_budget: int,
             break
         np.multiply(d, momentum, out=y)
         y += x  # x + momentum*d: addition commutes bit for bit
-    if counters is not None:
-        # per solve: the last column and one block objective, two without
-        # a cached value
-        counters.flops += (iters * iter_flops + prob.dim
-                           + (1 + (sub.value is None)) * value_flops
-                           + binding * bind_flops)
+    # per solve: the last column and one block objective
+    counters.flops += (iters * iter_flops + prob.dim + value_flops
+                       + binding * bind_flops)
     if _no_worse(sub, x, x0):
         return x
     return x0
@@ -245,20 +225,15 @@ def y_closed_form_peredge(mu: np.ndarray, lam: np.ndarray, rho_lam, rho_mu,
     return weights, operands
 
 
-def solve_bg_block(problem: ProblemInstance, node: int, lam_bar: np.ndarray,
-                   x_bar: np.ndarray, degree: int, rho: float,
-                   inner_budget: int = 50, inner_tol: float | None = None,
-                   warm_start: np.ndarray | None = None,
-                   counters=None, sub: XSubproblem | None = None) -> np.ndarray:
+def solve_bg_block(sub: XSubproblem, lam_bar: np.ndarray,
+                   x_bar: np.ndarray, rho: float, inner_budget: int,
+                   inner_tol: float | None, warm_start: np.ndarray,
+                   counters) -> np.ndarray:
     """Node block of the broadcast variant: minimize
     ``f_i(x) + (lam_bar - rho*x_bar)^T x + (rho*degree/2)||x||^2``
     over the node's set; same solver and safeguard as
-    :func:`solve_x_block`. ``sub``, when given, is this node's block from
-    earlier solves: this solve sets its linear term and quadratic weight
-    and reuses what the block caches (see :class:`XSubproblem`)."""
-    linear, quad = lam_bar - rho * x_bar, rho * float(degree)
-    if sub is None:
-        sub = XSubproblem(problem, node, linear, quad)
-    else:
-        sub.linear, sub.quad_weight = linear, quad
+    :func:`solve_x_block`. ``sub`` is this node's block, of quadratic
+    weight ``rho*degree``; this solve sets its linear term and reuses what
+    the block caches (see :class:`XSubproblem`)."""
+    sub.linear = lam_bar - rho * x_bar
     return solve_x_block(sub, inner_budget, inner_tol, warm_start, counters)

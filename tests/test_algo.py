@@ -659,6 +659,25 @@ class TestRunOuter:
                       PenaltySchedule.fixed(1.0), t_outer=1, k_inner=20,
                       seed=0, checkpoint_every=every)
 
+    def test_unused_penalty_after_the_last_slot_may_overflow(self,
+                                                             ring4_graph):
+        # the outer step also computes slot t_outer's penalty, 1e400 here
+        inst = QuadConsensusInstance(np.arange(8.0).reshape(4, 2))
+        with np.errstate(over="ignore"):
+            log, _ = run_outer(inst, ring4_graph, Variant.ALG,
+                               PenaltySchedule.geometric(1.0, 1e200, 0.0),
+                               t_outer=2, k_inner=200, seed=0)
+        assert len(log.rows) > 2
+        assert np.isfinite(log.column("L_value")).all()
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_inner_budget_below_one_is_rejected(self, ring4_graph, budget):
+        inst = QuadConsensusInstance(np.zeros((4, 1)))
+        with pytest.raises(ConfigError, match="inner_budget"):
+            run_outer(inst, ring4_graph, Variant.ALG,
+                      PenaltySchedule.fixed(1.0), t_outer=1, k_inner=20,
+                      seed=0, inner_budget=budget)
+
     def test_counter_columns_are_nondecreasing(self, ring4_graph):
         inst = QuadConsensusInstance(np.arange(4.0).reshape(4, 1))
         log, _ = run_outer(inst, ring4_graph, Variant.ALMG,

@@ -755,9 +755,14 @@ class TestCLI:
     @pytest.mark.parametrize("golden,old,new", [
         ("alg_adaptive_logreg", "schedule_params = 0.3,1.2,1",
          "schedule_params = 0.3,1e308,1"),
+        ("albg_geometric_logreg", "schedule_params = 1,1.15,2",
+         "schedule_params = 1,1e200,2"),
+        ("alg_power_box", "schedule_params = 1.3,1",
+         "schedule_params = 500,1"),
         ("almg_fixed_quad", "fstar = auto", "fstar = 1e308"),
         ("ps_distance_logreg", "fstar = auto", "fstar = 1e308"),
-    ], ids=["overflowing_penalties", "overflowing_fstar",
+    ], ids=["overflowing_penalties", "overflowing_geometric_penalty",
+            "overflowing_power_penalty", "overflowing_fstar",
             "ps_overflowing_fstar"])
     def test_overflow_exits_3_with_one_line(self, tmp_path, capsys, golden,
                                             old, new):

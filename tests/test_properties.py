@@ -440,15 +440,14 @@ def solved_blocks(state):
         assert_cached(state, sub)
         blocks[sub.node] = sub
 
-    def x_solver(sub, *args, **kwargs):
-        seen(sub)
-        return originals["solve_x_block"](sub, *args, **kwargs)
+    def watch(solver):
+        def wrapper(sub, *args):
+            seen(sub)
+            return solver(sub, *args)
+        return wrapper
 
-    def bg_solver(*args, sub=None, **kwargs):
-        seen(sub)
-        return originals["solve_bg_block"](*args, sub=sub, **kwargs)
-
-    algo.solve_x_block, algo.solve_bg_block = x_solver, bg_solver
+    for name, fn in originals.items():
+        setattr(algo, name, watch(fn))
     try:
         yield blocks
     finally:

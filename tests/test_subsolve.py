@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from algossip.algo import PenaltySchedule, Variant, run_outer
+from algossip.algo import Counters, PenaltySchedule, Variant, run_outer
 from algossip.errors import DomainError
 from algossip.graph import build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
@@ -211,20 +211,32 @@ def small_logreg():
     return LogRegInstance(features, labels, 0.3, [4.0], [2.0]), rng
 
 
+def block_solve(sub, warm, budget=50, tol=None, bg=None):
+    """A node solve as the slot kernel makes it, from ``warm``: an
+    l1-logistic block holds ``f_i`` at the warm start. ``bg``, a
+    ``(lam_bar, x_bar, rho)`` triple, makes it the broadcast variant's
+    solve, which sets the block's linear term."""
+    if not sub.problem.quadratic:
+        sub.value = sub.problem.node_value(sub.node, warm)
+    if bg is None:
+        return solve_x_block(sub, budget, tol, warm, Counters())
+    return solve_bg_block(sub, *bg, budget, tol, warm, Counters())
+
+
 def random_block(prob, i, q, broadcast, rng):
     """A random node block of weight ``q`` and the solver for it: the
     pairwise variants' (``solve_x_block``) or, with ``broadcast``, the
     broadcast variant's (``solve_bg_block``, with a random degree)."""
     if not broadcast:
         sub = XSubproblem(prob, i, rng.normal(size=prob.dim), q)
-        return sub, lambda budget, tol, start: solve_x_block(sub, budget,
-                                                             tol, start)
+        return sub, lambda budget, tol, start: block_solve(sub, start,
+                                                           budget, tol)
     degree = int(rng.integers(1, 7))
     rho = q / degree
     lam_bar, x_bar = rng.normal(size=(2, prob.dim))
     sub = XSubproblem(prob, i, lam_bar - rho * x_bar, rho * float(degree))
-    return sub, lambda budget, tol, start: solve_bg_block(
-        prob, i, lam_bar, x_bar, degree, rho, budget, tol, start)
+    return sub, lambda budget, tol, start: block_solve(
+        sub, start, budget, tol, (lam_bar, x_bar, rho))
 
 
 def check_safeguarded(prob, sub, x, warm, kept):
@@ -283,20 +295,20 @@ class TestSolveXBlock:
         # f(x) = (x-1)^2 with linear -2x and (2/2) x^2: stationarity 4x = 4
         prob = scalar_quad(1.0)
         sub = XSubproblem(prob, 0, np.array([-2.0]), 2.0)
-        x = solve_x_block(sub, warm_start=np.array([0.0]))
+        x = block_solve(sub, np.array([0.0]))
         assert x == pytest.approx(1.0, abs=1e-12)
 
     def test_interval_constraint_clips_to_boundary(self):
         prob = scalar_quad(1.0, lo=-0.5, hi=0.5)
         sub = XSubproblem(prob, 0, np.array([-2.0]), 2.0)
-        x = solve_x_block(sub, warm_start=np.array([0.0]))
+        x = block_solve(sub, np.array([0.0]))
         assert x == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_objective_with_cancelling_linear_term(self):
         # f == 0 and c == 0 leaves pure ||x||^2 minimization
         prob = scalar_quad(0.0, lo=0.25, hi=2.0, weight=0.0)
         sub = XSubproblem(prob, 0, np.zeros(1), 2.0)
-        x = solve_x_block(sub, warm_start=np.array([1.0]))
+        x = block_solve(sub, np.array([1.0]))
         assert x == pytest.approx(0.25, abs=1e-12)  # projection of zero
 
     def test_quadratic_matches_analytic_formula(self):
@@ -307,7 +319,7 @@ class TestSolveXBlock:
             q = float(rng.uniform(0.1, 4.0))
             prob = QuadConsensusInstance([a])
             sub = XSubproblem(prob, 0, c, q)
-            x = solve_x_block(sub, warm_start=a.copy())
+            x = block_solve(sub, a.copy())
             np.testing.assert_allclose(x, (2 * a - c) / (2 + q), atol=1e-10)
 
     def test_monotone_safeguard_on_inexact_solves(self):
@@ -325,11 +337,11 @@ class TestSolveXBlock:
                                  rho * degree)
 
             def x_solve(budget, start, tol=None):
-                return solve_x_block(x_sub, budget, tol, start)
+                return block_solve(x_sub, start, budget, tol)
 
             def bg_solve(budget, start, tol=None):
-                return solve_bg_block(prob, 0, lam_bar, x_bar, degree, rho,
-                                      budget, tol, start)
+                return block_solve(bg_sub, start, budget, tol,
+                                   (lam_bar, x_bar, rho))
 
             for sub, solve in ((x_sub, x_solve), (bg_sub, bg_solve)):
                 star = solve(500, warm, 0.0)
@@ -340,9 +352,13 @@ class TestSolveXBlock:
                     check_safeguarded(prob, sub, x, start, kept)
 
     @pytest.mark.parametrize("budget", [1, 3, 50])
-    def test_composite_solve_evaluates_objective_twice(self, budget,
-                                                       monkeypatch):
+    def test_composite_solve_evaluates_objective_once(self, budget,
+                                                      monkeypatch):
+        # Blocks holding f_i at the warm start, as the slot kernel's do:
+        # each solve evaluates f_i at its result only, and holds that value
         prob, rng = small_logreg()
+        warm = prob.node_project(0, rng.normal(size=3))
+        f_warm = prob.node_value(0, warm)
         calls = []
         value = prob.node_value
 
@@ -351,23 +367,22 @@ class TestSolveXBlock:
             return value(i, x)
 
         monkeypatch.setattr(prob, "node_value", counted)
-        warm = prob.node_project(0, rng.normal(size=3))
-        sub = XSubproblem(prob, 0, rng.normal(size=3), 1.5)
-        solve_x_block(sub, inner_budget=budget, warm_start=warm)
-        assert len(calls) == 2
+        sub = XSubproblem(prob, 0, rng.normal(size=3), 1.5, f_warm)
+        x = solve_x_block(sub, budget, None, warm, Counters())
+        assert len(calls) == 1 and sub.value == value(0, x)
         calls.clear()
-        solve_bg_block(prob, 0, rng.normal(size=3), rng.normal(size=3), 2,
-                       0.75, inner_budget=budget, warm_start=warm)
-        assert len(calls) == 2
+        sub = XSubproblem(prob, 0, np.zeros(3), 1.5, f_warm)
+        x = solve_bg_block(sub, rng.normal(size=3), rng.normal(size=3), 0.75,
+                           budget, None, warm, Counters())
+        assert len(calls) == 1 and sub.value == value(0, x)
 
     def test_composite_solve_reaches_stationary_point(self):
         prob, rng = small_logreg()
         for q in (0.0, 0.4, 3.0):
             c = rng.normal(size=3)
             sub = XSubproblem(prob, 0, c, q)
-            x = solve_x_block(sub, inner_budget=2000, inner_tol=1e-13,
-                              warm_start=prob.node_project(
-                                  0, rng.normal(size=3)))
+            warm = prob.node_project(0, rng.normal(size=3))
+            x = block_solve(sub, warm, 2000, 1e-13)
             # x is a fixed point of the prox-gradient map
             step = 1.0 / (prob.node_smooth_lipschitz(0) + q)
             grad = textbook_smooth_gradient(prob, 0, x) + c + q * x
@@ -423,31 +438,33 @@ class TestSolveXBlock:
                 assert active >= 20
 
     def test_kept_block_solves_like_fresh_blocks(self):
-        # A block kept across solves, as the slot kernel keeps it, rewrites
-        # its linear term and rebinds when its quadratic weight changes; a
-        # stale bound term would show as a difference in the bits
+        # A block kept across solves, as the slot kernel keeps it for a
+        # slot, rewrites its linear term and reuses what it bound; a stale
+        # bound term would show as a difference in the bits
         prob = gen_logreg(10, 10, 5, 0.1, 6)
         rng = np.random.default_rng(5)
+        zero = np.zeros(prob.dim)
         for i in range(prob.n_nodes):
             x = prob.node_project(i, rng.normal(size=prob.dim))
-            kept = XSubproblem(prob, i, np.zeros(prob.dim), 2.0,
-                               prob.node_value(i, x))
-            for q in (2.0, 2.0, 2.0, 7.5, 7.5):
+            kept = XSubproblem(prob, i, zero, 2.0, prob.node_value(i, x))
+            for _ in range(3):
                 c = rng.normal(size=prob.dim)
-                fresh = solve_x_block(XSubproblem(prob, i, c, q), 25, 1e-10,
-                                      x)
-                kept.linear, kept.quad_weight = c, q
-                got = solve_x_block(kept, 25, 1e-10, x)
+                fresh = block_solve(XSubproblem(prob, i, c, 2.0), x, 25,
+                                    1e-10)
+                kept.linear = c
+                got = solve_x_block(kept, 25, 1e-10, x, Counters())
                 assert got.tobytes() == fresh.tobytes()
                 assert kept.value == prob.node_value(i, got)
                 x = got
-            # the broadcast solver, given the kept block
+            # the broadcast solver, given a kept block of degree 3
             lam_bar, x_bar = rng.normal(size=(2, prob.dim))
-            for rho in (0.5, 0.5, 1.25):
-                fresh = solve_bg_block(prob, i, lam_bar, x_bar, 3, rho, 25,
-                                       1e-10, x)
-                got = solve_bg_block(prob, i, lam_bar, x_bar, 3, rho, 25,
-                                     1e-10, x, sub=kept)
+            rho = 0.5
+            kept = XSubproblem(prob, i, zero, 3 * rho, prob.node_value(i, x))
+            for _ in range(3):
+                fresh = block_solve(XSubproblem(prob, i, zero, 3 * rho), x,
+                                    25, 1e-10, (lam_bar, x_bar, rho))
+                got = solve_bg_block(kept, lam_bar, x_bar, rho, 25, 1e-10, x,
+                                     Counters())
                 assert got.tobytes() == fresh.tobytes()
                 assert kept.value == prob.node_value(i, got)
                 x = got
@@ -462,8 +479,7 @@ class TestSolveXBlock:
         calls = []
         monkeypatch.setattr(prob, "node_value",
                             lambda i, x: calls.append(i) or 0.0)
-        x = solve_x_block(XSubproblem(prob, 0, np.zeros(1), 0.0),
-                          warm_start=warm)
+        x = block_solve(XSubproblem(prob, 0, np.zeros(1), 0.0), warm)
         assert x.tolist() == [1.5] and not np.shares_memory(x, warm)
         assert calls == []
         monkeypatch.undo()
@@ -489,7 +505,7 @@ class TestSolveXBlock:
             w, a = prob.quad_coeff(i)
             star = (2.0 * w * a - c) / (2.0 * w + q)
             warm = star + 1e-7 * rng.normal(size=dim)
-            x = solve_x_block(XSubproblem(prob, i, c, q), warm_start=warm)
+            x = block_solve(XSubproblem(prob, i, c, q), warm)
             if x.tobytes() != star.tobytes():
                 missed.append(float(np.linalg.norm(warm - star)))
         assert not missed, (len(missed), max(missed))
@@ -499,7 +515,7 @@ class TestSolveXBlock:
     def test_quadratic_solve_is_no_worse_in_exact_arithmetic(self, case):
         prob, sub, warm = case
         kept = warm.copy()
-        x = solve_x_block(sub, warm_start=warm)
+        x = block_solve(sub, warm)
         np.testing.assert_array_equal(warm, kept)
         assert not np.shares_memory(x, warm)
         assert node_feasible(prob, 0, x) or x.tobytes() == warm.tobytes()
@@ -513,7 +529,7 @@ class TestSolveXBlock:
         for linear in ([np.nan, 0.0], [np.nan, np.nan]):
             sub = XSubproblem(prob, 0, np.array(linear), 2.0)
             with np.errstate(invalid="ignore"):
-                x = solve_x_block(sub, warm_start=warm)
+                x = block_solve(sub, warm)
             assert x.tolist() == [0.25, -0.5]
             assert not np.shares_memory(x, warm)
         assert sub.value is None
@@ -521,21 +537,23 @@ class TestSolveXBlock:
     def test_optimal_warm_start_returned_unchanged(self):
         prob = scalar_quad(1.0)
         sub = XSubproblem(prob, 0, np.array([-2.0]), 2.0)
-        x = solve_x_block(sub, warm_start=np.array([1.0]))
+        x = block_solve(sub, np.array([1.0]))
         assert x == pytest.approx(1.0, abs=1e-14)
 
 
 class TestSolveBGBlock:
     def test_stationary_point(self):
         prob = scalar_quad(1.0)
-        x = solve_bg_block(prob, 0, lam_bar=np.zeros(1),
-                           x_bar=np.array([1.0]), degree=1, rho=2.0,
-                           warm_start=np.array([0.0]))
+        # degree 1 and rho 2
+        x = block_solve(XSubproblem(prob, 0, np.zeros(1), 2.0),
+                        np.array([0.0]),
+                        bg=(np.zeros(1), np.array([1.0]), 2.0))
         assert x == pytest.approx(1.0, abs=1e-12)
 
     def test_cancelling_linear_term_projects_zero(self):
         prob = scalar_quad(0.0, lo=0.5, hi=3.0, weight=0.0)
         x_bar = np.array([2.0])
-        x = solve_bg_block(prob, 0, lam_bar=1.5 * x_bar, x_bar=x_bar,
-                           degree=1, rho=1.5, warm_start=np.array([1.0]))
+        # degree 1 and rho 1.5
+        x = block_solve(XSubproblem(prob, 0, np.zeros(1), 1.5),
+                        np.array([1.0]), bg=(1.5 * x_bar, x_bar, 1.5))
         assert x == pytest.approx(0.5, abs=1e-12)
