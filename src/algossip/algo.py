@@ -524,11 +524,9 @@ def outer_step(state, schedule: PenaltySchedule):
     for an adaptive schedule (not albg's), ``rho0`` moved by
     :func:`update_adaptive`. The dual steps are looked up on this module
     here, once per run."""
-    if isinstance(state, ALBGState):
-        dual, full = dual_update_bg, float
-    else:
-        dual = dual_update_alg
-        full = partial(np.full, (2, state.graph.num_arcs))
+    albg = isinstance(state, ALBGState)
+    dual = dual_update_bg if albg else dual_update_alg
+    full = float if albg else partial(np.full, (2, state.graph.num_arcs))
     if schedule.kind != "adaptive":
         def step(pen):
             dual(state, pen)
@@ -536,11 +534,13 @@ def outer_step(state, schedule: PenaltySchedule):
         return full(penalty_at(schedule, 0)), step
 
     kappa, sigma, rho0 = schedule.params
-    eps_prev = None
+    eps_prev, arc_rev = None, state.graph.arc_rev
 
     def step_adaptive(pen: np.ndarray) -> np.ndarray:
         nonlocal eps_prev
         eps = constraint_violations(state)  # the dual step writes no primal
+        # one link penalty per edge, raised on either arc's violation
+        eps[1] = np.maximum(eps[1], eps[1][arc_rev])
         dual(state, pen)
         pen, eps_prev = update_adaptive(pen, eps_prev, eps, kappa, sigma), eps
         return pen

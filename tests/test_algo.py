@@ -6,12 +6,12 @@ import pytest
 from algossip.algo import (ALBGState, ALGState, Counters, PenaltySchedule,
                            constraint_violations, default_inner_events,
                            dual_update_alg, dual_update_bg, lagrangian_eval,
-                           penalty_at, run_inner, run_outer, slot_kernel,
-                           update_adaptive)
+                           make_state, outer_step, penalty_at, run_inner,
+                           run_outer, slot_kernel, update_adaptive)
 from algossip.errors import ConfigError, DomainError, KindError, \
     NumericError
 from algossip.events import Event, EventKind, Variant, event_distribution
-from algossip.graph import FailureModel, Supergraph
+from algossip.graph import FailureModel, Supergraph, build_geometric
 from algossip.problem import LogRegInstance, QuadConsensusInstance
 
 from test_problem import global_value
@@ -533,6 +533,166 @@ class TestDualConsistency:
         eps_mu, eps_lam = constraint_violations(state)
         assert eps_mu[a01] == pytest.approx(0.75)
         assert eps_lam[a01] == pytest.approx(0.5)
+
+
+def textbook_penalty(schedule, t):
+    """Slot ``t``'s penalty of a fixed, power or geometric schedule, from
+    the formulas in ``PenaltySchedule``'s docstring."""
+    params = schedule.params
+    if schedule.kind == "fixed":
+        return params[0]
+    if schedule.kind == "power":
+        return t ** params[0] + params[1]
+    return params[0] * params[1] ** t + params[2]
+
+
+def textbook_multipliers(graph, state, pen):
+    """One method-of-multipliers step from the slot-end primal values, arc
+    by arc: each tie dual moves by its penalty times ``x_i - y_a``, each
+    link dual by its penalty times the signed gap between the owner's link
+    value and its copy of the partner's."""
+    mu, lam = state.mu.copy(), state.lam.copy()
+    for a, (i, j) in enumerate(graph.arcs):
+        b = graph.arc_id[(j, i)]
+        sign = 1.0 if i < j else -1.0
+        mu[a] += pen[0][a] * (state.x[i] - state.y[a])
+        lam[a] += sign * pen[1][a] * (state.y[a] - state.y_recv[b])
+    return mu, lam
+
+
+def textbook_aggregated_multipliers(graph, state, rho):
+    lam_bar = state.lam_bar.copy()
+    for i in range(graph.n):
+        for j in graph.neighbors[i]:
+            lam_bar[i] += rho * (state.x[i] - state.x[j])
+    return lam_bar
+
+
+def textbook_violations(graph, state):
+    """Each arc's tie violation, and its edge's link violation: the larger
+    of the two arcs' gaps between a link value and the partner's copy."""
+    eps = np.zeros((2, graph.num_arcs))
+    for a, (i, j) in enumerate(graph.arcs):
+        b = graph.arc_id[(j, i)]
+        eps[0, a] = np.linalg.norm(state.x[i] - state.y[a])
+        eps[1, a] = max(np.linalg.norm(state.y[a] - state.y_recv[b]),
+                        np.linalg.norm(state.y[b] - state.y_recv[a]))
+    return eps
+
+
+def textbook_adaptive(pen, eps_prev, eps, kappa, sigma):
+    """Keep a penalty whose violation fell to ``kappa`` times the last
+    one, multiply it by ``sigma`` otherwise; the first step keeps all."""
+    if eps_prev is None:
+        return pen.copy()
+    new = pen.copy()
+    for row, a in np.ndindex(pen.shape):
+        if not eps[row, a] <= kappa * eps_prev[row, a]:
+            new[row, a] = sigma * pen[row, a]
+    return new
+
+
+FIVE_NODES = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
+SCHEDULES = [PenaltySchedule.fixed(1.5), PenaltySchedule.power(1.3, 1.0),
+             PenaltySchedule.geometric(0.5, 1.4, 1.0),
+             PenaltySchedule.adaptive(0.3, 1.3, 1.0)]
+OUTER_CASES = [(v, s) for v in Variant for s in SCHEDULES
+               if not (v is Variant.ALBG and s.kind == "adaptive")]
+
+
+class TestOuterStep:
+    @pytest.mark.parametrize("variant,schedule", OUTER_CASES,
+                             ids=[f"{v.value}-{s.kind}"
+                                  for v, s in OUTER_CASES])
+    def test_steps_like_a_textbook_loop(self, variant, schedule):
+        """After every slot, the duals and the next slot's penalties equal
+        those of a loop written from the method of multipliers and the
+        schedule's formula."""
+        graph = Supergraph(5, FIVE_NODES)
+        rng = np.random.default_rng(3)
+        inst = QuadConsensusInstance(rng.normal(size=(5, 2)))
+        failures = (FailureModel.always_on(graph) if variant is Variant.ALBG
+                    else FailureModel(graph, rng.uniform(0.2, 1.0,
+                                                         graph.num_arcs)))
+        dist = event_distribution(graph, failures, variant)
+        state = make_state(variant, inst, graph)
+        pen, step = outer_step(state, schedule)
+        adaptive = schedule.kind == "adaptive"
+        want = (np.full((2, graph.num_arcs), schedule.params[2]) if adaptive
+                else textbook_penalty(schedule, 0))
+        eps_prev, grew, rows_differ = None, False, False
+        for t in range(6):
+            np.testing.assert_array_equal(pen, want)
+            run_inner(state, variant, graph, failures, dist, pen, rng,
+                      Counters(), 60)
+            if variant is Variant.ALBG:
+                lam_bar = textbook_aggregated_multipliers(graph, state, pen)
+                want = textbook_penalty(schedule, t + 1)
+            else:
+                mu, lam = textbook_multipliers(graph, state, pen)
+                want = np.full((2, graph.num_arcs),
+                               textbook_penalty(schedule, t + 1)
+                               if not adaptive else 0.0)
+                if adaptive:
+                    eps = textbook_violations(graph, state)
+                    kappa, sigma, _ = schedule.params
+                    want = textbook_adaptive(pen, eps_prev, eps, kappa,
+                                             sigma)
+                    eps_prev = eps
+            pen = step(pen)
+            assert state.t == t + 1
+            if variant is Variant.ALBG:
+                np.testing.assert_allclose(state.lam_bar, lam_bar,
+                                           rtol=1e-12, atol=1e-12)
+            else:
+                np.testing.assert_allclose(state.mu, mu, rtol=1e-13,
+                                           atol=1e-14)
+                np.testing.assert_allclose(state.lam, lam, rtol=1e-13,
+                                           atol=1e-14)
+                grew |= bool((want > want.min()).any())
+                rows_differ |= not np.array_equal(want[0], want[1])
+        np.testing.assert_array_equal(pen, want)
+        if adaptive:
+            # the draw tells the two rows and the two steps apart
+            assert grew and rows_differ
+
+    @pytest.mark.parametrize("variant", [Variant.ALG, Variant.ALMG])
+    @pytest.mark.parametrize("schedule", [PenaltySchedule.fixed(1.5),
+                                          PenaltySchedule.adaptive(0.3, 1.3,
+                                                                   1.0)],
+                             ids=["fixed", "adaptive"])
+    def test_dual_split_is_the_summed_slot_end_drift(self, variant,
+                                                     schedule):
+        """On failing links the two copies of an edge's link dual part by
+        ``lam_a - lam_b = s_a sum_t rho_lam(t) (d_a(t) + d_b(t))``, where
+        ``d_a = y_a - y_recv_a`` is arc a's undelivered drift at the end of
+        slot t. It needs one link penalty per edge."""
+        worst = 0.0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            graph = build_geometric(int(rng.integers(5, 8)), 0.7, seed)
+            inst = QuadConsensusInstance(rng.normal(size=(graph.n, 2)))
+            failures = FailureModel(graph, rng.uniform(0.1, 1.0,
+                                                       graph.num_arcs))
+            dist = event_distribution(graph, failures, variant)
+            state = make_state(variant, inst, graph)
+            fwd = graph.edge_fwd
+            rev = graph.arc_rev[fwd]
+            sign = graph.arc_sign[fwd][:, None]
+            split = np.zeros((len(fwd), 2))
+            pen, step = outer_step(state, schedule)
+            for _ in range(10):
+                run_inner(state, variant, graph, failures, dist, pen, rng,
+                          Counters(), 3 * default_inner_events(graph),
+                          stop_tol=1e-8)
+                drift = state.y - state.y_recv
+                split += sign * pen[1][fwd][:, None] * (drift[fwd]
+                                                        + drift[rev])
+                pen = step(pen)
+                got = state.lam[fwd] - state.lam[rev]
+                np.testing.assert_allclose(got, split, rtol=0, atol=1e-12)
+            worst = max(worst, float(np.abs(split).max()))
+        assert worst > 1e-2  # the copies did part
 
 
 class TestRunOuter:

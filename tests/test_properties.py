@@ -6,13 +6,14 @@ import copy
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algossip import algo
 from algossip.algo import (Counters, PenaltySchedule, Variant,
-                           dual_update_alg, dual_update_bg, lagrangian_eval,
-                           make_state, run_inner, run_outer, slot_kernel)
+                           constraint_violations, dual_update_alg,
+                           dual_update_bg, lagrangian_eval, make_state,
+                           outer_step, run_inner, run_outer, slot_kernel)
 from algossip.events import (Event, EventKind, event_distribution,
                              sample_event, sample_mg_event)
 from algossip.graph import FailureModel, build_geometric
@@ -101,6 +102,31 @@ def test_every_event_descends(graph, variant, seed, rho, p):
         else:
             dual_update_alg(state, pen)
 
+
+@settings(max_examples=25, deadline=None)
+@given(graph=GRAPHS, variant=st.sampled_from(GOSSIP), seed=SEEDS)
+def test_adaptive_penalties_keep_every_event_descending(graph, variant, seed):
+    """Adaptive penalties on links with per-arc success uniform in [0.1, 1],
+    on draws where the two arcs of some edge end a slot with different link
+    violations: every event still descends the augmented Lagrangian at its
+    slot's penalties, because both arcs of an edge get one link penalty."""
+    rng = np.random.default_rng(seed)
+    failures = FailureModel(graph, rng.uniform(0.1, 1.0, graph.num_arcs))
+    dist = event_distribution(graph, failures, variant)
+    state = make_state(variant, instance(graph, seed), graph)
+    pen, step = outer_step(state, PenaltySchedule.adaptive(0.3, 1.5, 1.0))
+    split = False
+    for _ in range(4):
+        values = [lagrangian_eval(state, pen)]
+        run_inner(state, variant, graph, failures, dist, pen, rng,
+                  Counters(), 150, on_checkpoint=lambda: values.append(
+                      lagrangian_eval(state, pen)), checkpoint_every=1)
+        scale = max(1.0, float(np.abs(values).max()))
+        assert np.all(np.diff(values) <= 1e-12 * scale)
+        eps = constraint_violations(state)[1]
+        split |= bool((eps != eps[graph.arc_rev]).any())
+        pen = step(pen)
+    assume(split)
 
 @settings(max_examples=20, deadline=None)
 @given(graph=GRAPHS, seed=SEEDS, rho=st.floats(0.2, 4.0))
