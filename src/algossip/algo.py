@@ -93,8 +93,8 @@ class PenaltySchedule:
 
 
 def penalty_at(schedule: PenaltySchedule, t: int) -> float:
-    """Penalty at outer slot ``t`` (``inf`` where it overflows); adaptive
-    penalties are per dual (:func:`update_adaptive`): :class:`KindError`."""
+    """Penalty at outer slot ``t`` (``inf`` where it overflows); raises
+    :class:`KindError` for adaptive penalties, which are per dual."""
     if t < 0:
         raise DomainError(f"slot index must be nonnegative, got {t}")
     if schedule.kind == "fixed":
@@ -273,7 +273,7 @@ class Counters:
 # Inner (fast-scale) kernel
 # --------------------------------------------------------------------------
 
-def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
+def slot_kernel(state, variant: Variant, pen, counters: Counters,
                 inner_budget: int = 50, inner_tol: float | None = None,
                 stop_tol: float | None = None):
     """Start a slot on ``state`` and return its per-event function.
@@ -305,10 +305,8 @@ def slot_kernel(state, variant: Variant, pen, counters: Counters | None = None,
     fixed and whose first two a delivery fills (built by
     ``y_closed_form_peredge``, which raises :class:`DomainError` on a
     non-positive penalty sum). The samplers and block solvers are looked
-    up on this module when called; the dual step is bound once per run,
-    at its start (:func:`outer_step`).
+    up on this module when called, the dual step once per run (outer_step).
     """
-    counters = counters if counters is not None else Counters()
     variant = Variant(variant)
     g, problem = state.graph, state.problem
     state.reset_movement()
@@ -522,8 +520,8 @@ def outer_step(state, schedule: PenaltySchedule):
     ``step(pen)`` steps the duals at the finished slot's penalties ``pen``
     and returns the next slot's. Every dual gets :func:`penalty_at`, or,
     for an adaptive schedule (not albg's), ``rho0`` moved by
-    :func:`update_adaptive`. The dual steps are looked up on this module
-    here, once per run."""
+    :func:`update_adaptive` per arc for ties and per edge for links. The
+    dual steps are looked up on this module here, once per run."""
     albg = isinstance(state, ALBGState)
     dual = dual_update_bg if albg else dual_update_alg
     full = float if albg else partial(np.full, (2, state.graph.num_arcs))

@@ -90,11 +90,13 @@ class ProblemInstance(abc.ABC):
       ``len(X) == n_nodes`` and row ``i`` is evaluated at node ``i``, in
       fresh arrays.
 
-    Each entry of ``values``, ``node_values``, ``set_distances`` and
-    ``project`` must equal ``node_value``, ``np.linalg.norm`` of the
-    ``node_project`` step and ``node_project`` bit for bit, and each row of
-    ``subgradients`` the textbook subgradient of its family, so that a
-    seeded trace does not depend on which form computed it.
+    Each entry of ``node_values``, ``set_distances`` and ``project`` must
+    equal ``node_value``, ``np.linalg.norm`` of the ``node_project`` step
+    and ``node_project`` bit for bit, and each row of ``subgradients`` the
+    textbook subgradient of its family, so that a seeded trace does not
+    depend on which form computed it. ``values``, which the ``err_f``
+    column comes from, matches only where the dot product ignores the
+    alignment of its rows (OpenBLAS's ``Prescott`` kernel does not).
     """
 
     dim: int

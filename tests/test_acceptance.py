@@ -15,7 +15,7 @@ from scipy.stats import chisquare
 from algossip.algo import (Counters, PenaltySchedule, Variant,
                            default_inner_events, dual_update_alg,
                            dual_update_bg, lagrangian_eval, make_state,
-                           penalty_at, run_inner, run_outer)
+                           outer_step, run_inner, run_outer)
 from algossip.baseline import metropolis_weights, run_ps
 from algossip.events import Variant as EV, event_distribution, \
     sample_event
@@ -90,10 +90,8 @@ def test_acceptance_1_inner_descent():
         rng = np.random.default_rng(42)
         counters = Counters()
         total = 0
+        pen, step = outer_step(state, PenaltySchedule.power(1.0, 1.0))
         for t in range(4):
-            rho = 1.0 + 0.5 * t
-            pen = (rho if variant is Variant.ALBG
-                   else np.full((2, ring.num_arcs), rho))
             values = [lagrangian_eval(state, pen)]
             run_inner(state, variant, ring, failures, dist, pen, rng,
                       counters, k_inner=events_per_algo // 4,
@@ -104,10 +102,7 @@ def test_acceptance_1_inner_descent():
             assert np.all(diffs <= 1e-12), \
                 f"{variant.value}: ascent of {diffs.max()} within slot {t}"
             total += len(values) - 1
-            if variant is Variant.ALBG:
-                dual_update_bg(state, pen)
-            else:
-                dual_update_alg(state, pen)
+            pen = step(pen)
         assert total >= events_per_algo
     elapsed = time.monotonic() - start
     assert elapsed < 5.0

@@ -196,7 +196,7 @@ class TestInnerStepALG:
         state.y_recv[:] = xbar
         pen = pen_of(ring4_graph, 2.0)
         arc_id = ring4_graph.arc_id
-        apply = slot_kernel(state, Variant.ALG, pen)
+        apply = slot_kernel(state, Variant.ALG, pen, Counters())
         for ev in [Event(EventKind.X_UPDATE, node=2),
                    Event(EventKind.Y_TRANSFER, arc=arc_id[(0, 1)]),
                    Event(EventKind.Y_TRANSFER, arc=arc_id[(3, 2)])]:
@@ -252,7 +252,7 @@ class TestInnerStepALG:
         pen = pen_of(path3_graph, 1.0)
         pen[:, 2] = [0.5, -0.5]
         with pytest.raises(DomainError, match="penalty sum"):
-            slot_kernel(state, variant, pen)
+            slot_kernel(state, variant, pen, Counters())
 
 
 class TestDualUpdateALG:
@@ -307,9 +307,9 @@ class TestInnerStepMG:
         state_b = copy.deepcopy(state_a)
         pen = pen_of(path3_graph, 1.3)
         out = (path3_graph.arc_id[(1, 0)], path3_graph.arc_id[(1, 2)])
-        slot_kernel(state_a, Variant.ALMG, pen)(
+        slot_kernel(state_a, Variant.ALMG, pen, Counters())(
             Event(EventKind.MG_BROADCAST, node=1, receivers=out))
-        apply_b = slot_kernel(state_b, Variant.ALG, pen)
+        apply_b = slot_kernel(state_b, Variant.ALG, pen, Counters())
         for a in out:
             apply_b(Event(EventKind.Y_TRANSFER, arc=a))
         np.testing.assert_allclose(state_a.y, state_b.y, atol=1e-15)
@@ -321,9 +321,9 @@ class TestInnerStepMG:
         state_a.y[a01] = 0.9
         state_b = copy.deepcopy(state_a)
         pen = pen_of(pair_graph, 1.0)
-        slot_kernel(state_a, Variant.ALMG, pen)(
+        slot_kernel(state_a, Variant.ALMG, pen, Counters())(
             Event(EventKind.MG_BROADCAST, node=0, receivers=(a01,)))
-        slot_kernel(state_b, Variant.ALG, pen)(
+        slot_kernel(state_b, Variant.ALG, pen, Counters())(
             Event(EventKind.Y_TRANSFER, arc=a01))
         np.testing.assert_array_equal(state_a.y, state_b.y)
 
@@ -334,7 +334,7 @@ class TestBroadcastVariant:
         inst = QuadConsensusInstance([[0.0], [2.0]])
         state = ALBGState(inst, pair_graph)
         state.x[1] = np.array([2.0])
-        slot_kernel(state, Variant.ALBG, 1.0)(bg_update(0))
+        slot_kernel(state, Variant.ALBG, 1.0, Counters())(bg_update(0))
         # stationarity: 2x - x1 + x = 0  =>  x = x1 / 3
         assert state.x[0][0] == pytest.approx(2.0 / 3.0)
 
@@ -342,7 +342,7 @@ class TestBroadcastVariant:
         inst = QuadConsensusInstance(np.zeros((4, 1)), weights=[0.0] * 4)
         state = ALBGState(inst, ring4_graph)
         state.x[:] = 0.8
-        apply = slot_kernel(state, Variant.ALBG, 2.0)
+        apply = slot_kernel(state, Variant.ALBG, 2.0, Counters())
         for node in range(4):
             apply(bg_update(node))
         np.testing.assert_allclose(state.x, 0.8, atol=1e-12)
@@ -354,7 +354,7 @@ class TestBroadcastVariant:
         rho = 1.0
         values = [lagrangian_eval(state, rho)]
         order = rng.integers(0, 4, size=400)
-        apply = slot_kernel(state, Variant.ALBG, rho)
+        apply = slot_kernel(state, Variant.ALBG, rho, Counters())
         for node in order:
             apply(bg_update(int(node)))
             values.append(lagrangian_eval(state, rho))
@@ -383,7 +383,7 @@ class TestBroadcastVariant:
         inst = QuadConsensusInstance(rng.normal(size=(4, 2)))
         state = ALBGState(inst, ring4_graph)
         for _ in range(10):
-            apply = slot_kernel(state, Variant.ALBG, 1.5)
+            apply = slot_kernel(state, Variant.ALBG, 1.5, Counters())
             for node in rng.integers(0, 4, size=30):
                 apply(bg_update(int(node)))
             dual_update_bg(state, rho=1.5)
@@ -608,6 +608,7 @@ class TestOuterStep:
         """After every slot, the duals and the next slot's penalties equal
         those of a loop written from the method of multipliers and the
         schedule's formula."""
+        adaptive = schedule.kind == "adaptive"
         graph = Supergraph(5, FIVE_NODES)
         rng = np.random.default_rng(3)
         inst = QuadConsensusInstance(rng.normal(size=(5, 2)))
@@ -617,9 +618,13 @@ class TestOuterStep:
         dist = event_distribution(graph, failures, variant)
         state = make_state(variant, inst, graph)
         pen, step = outer_step(state, schedule)
-        adaptive = schedule.kind == "adaptive"
-        want = (np.full((2, graph.num_arcs), schedule.params[2]) if adaptive
-                else textbook_penalty(schedule, 0))
+        kappa, sigma, rho0 = schedule.params if adaptive else (0, 0, 0)
+
+        def full(rho):
+            return rho if variant is Variant.ALBG else np.full(
+                (2, graph.num_arcs), rho)
+
+        want = full(rho0 if adaptive else textbook_penalty(schedule, 0))
         eps_prev, grew, rows_differ = None, False, False
         for t in range(6):
             np.testing.assert_array_equal(pen, want)
@@ -627,18 +632,16 @@ class TestOuterStep:
                       Counters(), 60)
             if variant is Variant.ALBG:
                 lam_bar = textbook_aggregated_multipliers(graph, state, pen)
-                want = textbook_penalty(schedule, t + 1)
             else:
                 mu, lam = textbook_multipliers(graph, state, pen)
-                want = np.full((2, graph.num_arcs),
-                               textbook_penalty(schedule, t + 1)
-                               if not adaptive else 0.0)
-                if adaptive:
-                    eps = textbook_violations(graph, state)
-                    kappa, sigma, _ = schedule.params
-                    want = textbook_adaptive(pen, eps_prev, eps, kappa,
-                                             sigma)
-                    eps_prev = eps
+            if adaptive:
+                eps = textbook_violations(graph, state)
+                want = textbook_adaptive(pen, eps_prev, eps, kappa, sigma)
+                eps_prev = eps
+                grew |= bool((want > rho0).any())
+                rows_differ |= not np.array_equal(want[0], want[1])
+            else:
+                want = full(textbook_penalty(schedule, t + 1))
             pen = step(pen)
             assert state.t == t + 1
             if variant is Variant.ALBG:
@@ -649,8 +652,6 @@ class TestOuterStep:
                                            atol=1e-14)
                 np.testing.assert_allclose(state.lam, lam, rtol=1e-13,
                                            atol=1e-14)
-                grew |= bool((want > want.min()).any())
-                rows_differ |= not np.array_equal(want[0], want[1])
         np.testing.assert_array_equal(pen, want)
         if adaptive:
             # the draw tells the two rows and the two steps apart
@@ -868,7 +869,7 @@ class TestDiagnostics:
         events = [Event(EventKind.X_UPDATE, node=i) for i in range(3)]
         events += [Event(EventKind.Y_TRANSFER, arc=a)
                    for a in range(path3_graph.num_arcs)]
-        apply = slot_kernel(state, Variant.ALG, pen)
+        apply = slot_kernel(state, Variant.ALG, pen, Counters())
         for ev in events:
             apply(ev)
         np.testing.assert_allclose(state.x, x_before, atol=1e-11)

@@ -89,18 +89,15 @@ def test_every_event_descends(graph, variant, seed, rho, p):
     state = make_state(variant, inst, graph)
     rng = np.random.default_rng(seed)
     counters = Counters()
-    for t in range(3):
-        pen = penalty(variant, graph, rho * (1 + t))
+    pen, step = outer_step(state, PenaltySchedule.power(1.0, rho))
+    for _ in range(3):
         values = [lagrangian_eval(state, pen)]
         run_inner(state, variant, graph, failures, dist, pen, rng, counters,
                   200, on_checkpoint=lambda: values.append(
                       lagrangian_eval(state, pen)), checkpoint_every=1)
         scale = max(1.0, float(np.abs(values).max()))
         assert np.all(np.diff(values) <= 1e-12 * scale)
-        if variant is Variant.ALBG:
-            dual_update_bg(state, pen)
-        else:
-            dual_update_alg(state, pen)
+        pen = step(pen)
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,6 +124,7 @@ def test_adaptive_penalties_keep_every_event_descending(graph, variant, seed):
         split |= bool((eps != eps[graph.arc_rev]).any())
         pen = step(pen)
     assume(split)
+
 
 @settings(max_examples=20, deadline=None)
 @given(graph=GRAPHS, seed=SEEDS, rho=st.floats(0.2, 4.0))
@@ -192,15 +190,12 @@ def test_nodes_stay_feasible_after_every_event(graph, variant, seed, rho, p):
                        for i in range(graph.n))
 
         every_node_feasible()
-        for t in range(2):
-            pen = penalty(variant, graph, rho * (1 + t))
+        pen, step = outer_step(state, PenaltySchedule.power(1.0, rho))
+        for _ in range(2):
             run_inner(state, variant, graph, failures, dist, pen, rng,
                       Counters(), 100, inner_budget=5,
                       on_checkpoint=every_node_feasible, checkpoint_every=1)
-            if variant is Variant.ALBG:
-                dual_update_bg(state, pen)
-            else:
-                dual_update_alg(state, pen)
+            pen = step(pen)
 
 
 @contextmanager
@@ -259,7 +254,8 @@ def resolved_node(state, i, pen):
     probe = copy.copy(state)
     probe.x = state.x.copy()
     # a new slot on the probe: fresh flag lists, on the probe only
-    slot_kernel(probe, Variant.ALG, pen)(Event(EventKind.X_UPDATE, node=i))
+    apply = slot_kernel(probe, Variant.ALG, pen, Counters())
+    apply(Event(EventKind.X_UPDATE, node=i))
     return probe.x[i]
 
 
@@ -326,9 +322,9 @@ def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
     assert all(state.node_dirty) and all(state.link_dirty)
     rng = np.random.default_rng(seed)
     counters = Counters()
+    pen, step = outer_step(state, PenaltySchedule.power(1.0, rho))
     with watched(state, counters) as seen:
-        for t in range(3):
-            pen = penalty(variant, graph, rho * (1 + t))
+        for _ in range(3):
             last = {}
             run_inner(state, variant, graph, failures, dist, pen, rng,
                       counters, 150, inner_budget=5,
@@ -337,7 +333,7 @@ def test_skipped_blocks_have_unchanged_inputs(graph, variant, kind, seed,
                                                         kind != "logreg",
                                                         counters),
                       checkpoint_every=1)
-            dual_update_alg(state, pen)
+            pen = step(pen)
 
 
 def textbook_link(x, y_hat, mu, lam, rho_mu, rho_lam, owner, other):
@@ -426,8 +422,8 @@ def test_running_stop_count_matches_the_lists(graph, variant, kind, seed,
     dist = event_distribution(graph, failures, variant)
     state = make_state(variant, inst, graph)
     cap = 120
+    pen, step = outer_step(state, PenaltySchedule.power(1.0, rho))
     for t in range(3):
-        pen = penalty(variant, graph, rho * (1 + t))
         probe = copy.deepcopy(state)
         rng = np.random.default_rng(seed + t)
         apply = slot_kernel(probe, variant, pen, Counters(), 5, None,
@@ -445,10 +441,7 @@ def test_running_stop_count_matches_the_lists(graph, variant, kind, seed,
                             np.random.default_rng(seed + t), Counters(), cap,
                             inner_budget=5, stop_tol=stop_tol)
         assert applied == implied
-        if variant is Variant.ALBG:
-            dual_update_bg(state, pen)
-        else:
-            dual_update_alg(state, pen)
+        pen = step(pen)
 
 
 @contextmanager
@@ -505,9 +498,9 @@ def test_cached_node_values_follow_the_estimates(graph, variant, kind, seed,
     dist = event_distribution(graph, failures, variant)
     state = make_state(variant, inst, graph)
     rng = np.random.default_rng(seed)
+    pen, step = outer_step(state, PenaltySchedule.power(1.0, rho))
     with solved_blocks(state) as blocks:
-        for t in range(3):
-            pen = penalty(variant, graph, rho * (1 + t))
+        for _ in range(3):
             blocks.clear()
             run_inner(state, variant, graph, failures, dist, pen, rng,
                       Counters(), 80, inner_budget=5,
@@ -515,10 +508,7 @@ def test_cached_node_values_follow_the_estimates(graph, variant, kind, seed,
                                              for sub in blocks.values()],
                       checkpoint_every=1)
             assert blocks
-            if variant is Variant.ALBG:
-                dual_update_bg(state, pen)
-            else:
-                dual_update_alg(state, pen)
+            pen = step(pen)
             # code outside a slot may write the estimates
             state.x[...] = inst.project(
                 state.x + rng.normal(scale=0.3, size=state.x.shape))
